@@ -119,16 +119,20 @@ object DistanceTable {
     val bLeft = spark.sparkContext.broadcast(leftCols)
     val bRight = spark.sparkContext.broadcast(rightCols)
     val bCtx = spark.sparkContext.broadcast(ctxs)
-    val rows: Array[(Long, Long, Array[Array[Float]])] = pairs
-      .select("leftId", "rightId")
-      .as[(Long, Long)]
-      .mapPartitions { it =>
-        val lm = bLeft.value; val rm = bRight.value; val cs = bCtx.value
-        it.map { case (lid, rid) =>
-          (lid, rid, Array.tabulate(cs.length)(c => vector(lm(lid)(c), rm(rid)(c), cs(c))))
+    val rows: Array[(Long, Long, Array[Array[Float]])] = try {
+      pairs
+        .select("leftId", "rightId")
+        .as[(Long, Long)]
+        .mapPartitions { it =>
+          val lm = bLeft.value; val rm = bRight.value; val cs = bCtx.value
+          it.map { case (lid, rid) =>
+            (lid, rid, Array.tabulate(cs.length)(c => vector(lm(lid)(c), rm(rid)(c), cs(c))))
+          }
         }
-      }
-      .collect()
+        .collect()
+    } finally {
+      bLeft.destroy(); bRight.destroy(); bCtx.destroy()
+    }
     Array.tabulate(m)(c => rows.map { case (lid, rid, d) => PairDist(lid, rid, d(c)) })
   }
 

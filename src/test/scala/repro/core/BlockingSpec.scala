@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
+import repro.data.Benchmarks
 
 class BlockingSpec extends SparkSpec {
 
@@ -109,5 +110,91 @@ class BlockingSpec extends SparkSpec {
         |                            ORDER BY CAST(sim AS DOUBLE) DESC, CAST(leftId AS BIGINT) ASC) AS rk
         |  FROM sims) WHERE rk <= 2""".stripMargin,
       "sims" -> simsDf)
+  }
+
+  private def rows(df: DataFrame): Seq[(Long, Long, Double)] =
+    df.collect().toSeq.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
+
+  test("an exact tie at rank k keeps the smaller leftId") {
+    // 4 and 6 share the same common tokens with r=100, so their sums tie
+    // bit-for-bit at ranks 2 and 3; k = 2.
+    val l = SingleColumnPipeline.toDF(spark, Seq(
+      1L -> "alpha beta qqq", 6L -> "alpha beta yyy", 4L -> "alpha beta zzz", 9L -> "gamma delta"))
+    val r = SingleColumnPipeline.toDF(spark, Seq(100L -> "alpha beta qqq"))
+    val top3 = rows(Blocking.candidates(l, r, k = 3, Blocking.idfOverLeft(l)))
+    assert(top3.map(_._1) == Seq(1L, 4L, 6L))
+    assert(top3(1)._3 == top3(2)._3, "4 and 6 should tie exactly")
+    val (lr, _) = Blocking.block(spark, l, r)
+    assert(rows(lr).map(t => (t._1, t._2)) == Seq(1L -> 100L, 4L -> 100L))
+  }
+
+  test("self candidates keep k+1, then drop the identity wherever it ranks") {
+    // k = 2. 1 and 5 are duplicates: l=5's identity ties l=1 and ranks
+    // second. 3 and 7 tie at rank k+1 = 3 for both probes.
+    val l = SingleColumnPipeline.toDF(spark, Seq(
+      1L -> "alpha beta", 5L -> "alpha beta", 3L -> "alpha beta qqq", 7L -> "alpha beta zzz"))
+    val (_, ll) = Blocking.block(spark, l, SingleColumnPipeline.toDF(spark, Seq(100L -> "x")))
+    val byR = rows(ll).groupBy(_._2).map { case (rid, ps) => rid -> ps.map(_._1) }
+    assert(byR(1L) == Seq(5L, 3L))
+    assert(byR(5L) == Seq(1L, 3L))
+  }
+
+  test("block's output does not depend on input partitioning or order") {
+    val task = Benchmarks.tiny()
+    def run(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], parts: Int) = {
+      val (lr, ll) = Blocking.block(spark,
+        SingleColumnPipeline.toDF(spark, lRecs).coalesce(parts),
+        SingleColumnPipeline.toDF(spark, rRecs).coalesce(parts))
+      (rows(lr), rows(ll))
+    }
+    val eight = run(task.left, task.right, 8)
+    val one = run(task.left.reverse, task.right.reverse, 1)
+    assert(eight._1.nonEmpty && eight._2.nonEmpty)
+    assert(one == eight)
+  }
+
+  test("block's L-R and L-L candidates match a SQL top-k (DuckDB oracle)") {
+    val task = Benchmarks.tiny()
+    def grams(t: String) = Tokenize.ngrams(Preprocess.lower(t), 3)
+    val n = task.left.size
+    val idf: Map[String, Double] = task.left.flatMap(t => grams(t._2)).groupBy(identity)
+      .map { case (tok, occ) => tok -> (math.log(n.toDouble / occ.size) + 1.0) }
+    val fromBlocking = Blocking.idfOverLeft(SingleColumnPipeline.toDF(spark, task.left)).collect()
+      .map(r => r.getString(0) -> r.getDouble(1)).toMap
+    assert(fromBlocking.keySet == idf.keySet)
+    assert(fromBlocking.forall { case (tok, w) => math.abs(w - idf(tok)) < 1e-12 })
+    // Every pair sharing a token, with its sim summed in sorted-token order.
+    def sims(probes: Seq[(Long, String)]) = {
+      val rows = for {
+        (lid, lt) <- task.left
+        (pid, pt) <- probes
+        common = grams(lt).intersect(grams(pt)) if common.nonEmpty
+      } yield Row(lid, pid, common.map(idf).sum)
+      spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), StructType(Seq(
+        StructField("leftId", LongType), StructField("rightId", LongType),
+        StructField("sim", DoubleType))))
+    }
+    def topK(k: Int) =
+      s"""SELECT leftId, rightId, CAST(sim AS DOUBLE) AS blockSim FROM (
+         |  SELECT leftId, rightId, sim,
+         |         ROW_NUMBER() OVER (PARTITION BY rightId
+         |                            ORDER BY CAST(sim AS DOUBLE) DESC, CAST(leftId AS BIGINT) ASC) AS rk
+         |  FROM sims) WHERE rk <= $k""".stripMargin
+    def asStrings(df: DataFrame) =
+      df.select(col("leftId").cast("string").as("leftId"),
+                col("rightId").cast("string").as("rightId"), col("blockSim"))
+    val (lr, ll) = Blocking.block(spark,
+      SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+    val k = Blocking.topK(n)
+    Oracle.assertEquivalent(asStrings(lr), topK(k), "sims" -> sims(task.right))
+    Oracle.assertEquivalent(asStrings(ll),
+      s"SELECT * FROM (${topK(k + 1)}) WHERE leftId <> rightId", "sims" -> sims(task.left))
+  }
+
+  test("block leaves no persisted RDD behind") {
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val (lr, ll) = Blocking.block(spark, dfL, dfR)
+    lr.collect(); ll.collect()
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 }
