@@ -12,6 +12,7 @@ object JobSession {
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.log.level", "WARN")
       .getOrCreate()
 }
 

@@ -5,10 +5,11 @@ import repro.core.ConfigSpace.JoinConfig
 /** Algorithm 1: greedy recall-maximizing search over join configurations,
   * with label-free precision estimation via the 2d-ball rule (Eq. 8–13).
   *
-  * The search runs on the driver over the collected candidate-pair distance
-  * tables ([[SearchData]]); everything upstream (blocking, negative rules,
-  * per-pair distances) and downstream (applying the learned program) runs
-  * as Spark DataFrame pipelines.
+  * The search runs on the driver over the candidate-pair distance tables
+  * ([[SearchData]]). Upstream, blocking runs as one Spark job and the
+  * per-pair distances are computed on driver threads
+  * ([[DistanceTable]]); [[FuzzyJoinProgram.apply]] reuses both to apply the
+  * learned program.
   */
 object AutoFJ {
 

@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 import repro.embed.HashEmbedding
 
 /** Per-record structures all 140 join functions read from: the four
@@ -11,11 +13,12 @@ final case class Prepped(
     strs: Array[String],
     toks: Array[Array[String]],
     emb: Array[Array[Float]],
-) extends Serializable
+)
 
 object Prepped {
+  /** A null `raw` is a missing value: the empty string (§5.2.2). */
   def apply(raw: String): Prepped = {
-    val strs = Preprocess.allVariants(raw)
+    val strs = Preprocess.allVariants(Option(raw).getOrElse(""))
     val toks = new Array[Array[String]](ConfigSpace.NumPreproc * ConfigSpace.NumTok)
     var p = 0
     while (p < ConfigSpace.NumPreproc) {
@@ -34,10 +37,9 @@ object Prepped {
 }
 
 /** Dataset-level weighting context: one IDF table per (P, T) combo, built
-  * over the tokenized L ∪ R corpus, broadcast to executors alongside the
-  * prepped records.
+  * over the tokenized L ∪ R corpus.
   */
-final class FeatureContext(val idfs: Array[TokenWeights]) extends Serializable {
+final class FeatureContext(val idfs: Array[TokenWeights]) {
   /** Weights for weighting option `w` under (P, T) combo index `pt`. */
   def weights(w: Int, pt: Int): TokenWeights =
     if (w == 0) TokenWeights.equal else idfs(pt)
@@ -56,12 +58,20 @@ object FeatureContext {
   */
 final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
 
-/** Computes the per-pair distance vectors for a set of candidate pairs as a
-  * single Spark pass: the candidate (leftId, rightId) DataFrame from
-  * blocking is mapped partition-wise with the prepped records and the IDF
-  * context broadcast, yielding one 140-float vector per pair.
+/** Computes the per-pair distance vectors for a set of candidate pairs on
+  * the driver. The (leftId, rightId) rows of the candidate frame from
+  * blocking are read once, and [[vector]] runs over them in chunks on the
+  * global execution context. The search reads every distance on the driver,
+  * so a Spark job here would only add serialization and scheduling.
+  *
+  * Order contract: row `i` of every returned table is the `i`-th row of
+  * `pairs.collect()`, so the tables of all columns are index-aligned and
+  * keep the order of their input pairs.
   */
 object DistanceTable {
+
+  /** Pairs per task on the execution context. */
+  private val Chunk = 32
 
   /** All 140 distances between a left and a right record (order: function
     * id). Asymmetric functions (Contain-*) treat `l` as the reference side.
@@ -102,10 +112,9 @@ object DistanceTable {
     out
   }
 
-  /** One Spark pass over the candidate pairs computing the distance
-    * vectors of *all* columns at once (multi-column tasks would otherwise
-    * pay per-column job overhead). Returns one column-major array of
-    * [[PairDist]] per column, all index-aligned.
+  /** Distance vectors of every column for every (leftId, rightId) row of
+    * `pairs`: one [[PairDist]] table per column, all in input pair order.
+    * An id missing from the record maps throws `NoSuchElementException`.
     */
   def computeMulti(
       spark: SparkSession,
@@ -114,31 +123,33 @@ object DistanceTable {
       rightCols: Map[Long, Array[Prepped]],
       ctxs: Array[FeatureContext],
   ): Array[Array[PairDist]] = {
-    import spark.implicits._
+    val ids = pairs.select("leftId", "rightId").collect()
+    val n = ids.length
     val m = ctxs.length
-    val bLeft = spark.sparkContext.broadcast(leftCols)
-    val bRight = spark.sparkContext.broadcast(rightCols)
-    val bCtx = spark.sparkContext.broadcast(ctxs)
-    val rows: Array[(Long, Long, Array[Array[Float]])] = try {
-      pairs
-        .select("leftId", "rightId")
-        .as[(Long, Long)]
-        .mapPartitions { it =>
-          val lm = bLeft.value; val rm = bRight.value; val cs = bCtx.value
-          it.map { case (lid, rid) =>
-            (lid, rid, Array.tabulate(cs.length)(c => vector(lm(lid)(c), rm(rid)(c), cs(c))))
+    val cols = Array.fill(m)(new Array[PairDist](n))
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val chunks = (0 until n by Chunk).map { from =>
+      Future {
+        val until = math.min(from + Chunk, n)
+        var i = from
+        while (i < until) {
+          val lid = ids(i).getLong(0); val rid = ids(i).getLong(1)
+          val l = leftCols(lid); val r = rightCols(rid)
+          var c = 0
+          while (c < m) {
+            cols(c)(i) = PairDist(lid, rid, vector(l(c), r(c), ctxs(c)))
+            c += 1
           }
+          i += 1
         }
-        .collect()
-    } finally {
-      bLeft.destroy(); bRight.destroy(); bCtx.destroy()
+      }
     }
-    Array.tabulate(m)(c => rows.map { case (lid, rid, d) => PairDist(lid, rid, d(c)) })
+    Await.result(Future.sequence(chunks), Duration.Inf)
+    cols
   }
 
-  /** Spark pass: distance vectors for every (leftId, rightId) row of
-    * `pairs`. Prepped records and the IDF context ride a broadcast; the
-    * result is collected (candidate sets are O((|L|+|R|)·√|L|)).
+  /** Single-column [[computeMulti]]: distance vectors for every
+    * (leftId, rightId) row of `pairs`, in input pair order.
     */
   def compute(
       spark: SparkSession,
@@ -147,21 +158,7 @@ object DistanceTable {
       right: Map[Long, Prepped],
       ctx: FeatureContext,
   ): Array[PairDist] = {
-    import spark.implicits._
-    val bLeft = spark.sparkContext.broadcast(left)
-    val bRight = spark.sparkContext.broadcast(right)
-    val bCtx = spark.sparkContext.broadcast(ctx)
-    try {
-      val ds: Dataset[PairDist] = pairs
-        .select("leftId", "rightId")
-        .as[(Long, Long)]
-        .mapPartitions { it =>
-          val lm = bLeft.value; val rm = bRight.value; val c = bCtx.value
-          it.map { case (lid, rid) => PairDist(lid, rid, vector(lm(lid), rm(rid), c)) }
-        }
-      ds.collect()
-    } finally {
-      bLeft.destroy(); bRight.destroy(); bCtx.destroy()
-    }
+    def oneCol(recs: Map[Long, Prepped]) = recs.map { case (id, p) => id -> Array(p) }
+    computeMulti(spark, pairs, oneCol(left), oneCol(right), Array(ctx))(0)
   }
 }

@@ -5,12 +5,13 @@ import org.apache.spark.sql.types._
 
 /** The explainable artifact AutoFJ produces: a disjunction of join
   * configurations plus the learned negative rules, applicable to fresh
-  * (L, R) DataFrames as a Spark operation.
+  * (L, R) DataFrames.
   *
-  * Application re-runs blocking, drops rule-violating pairs, computes only
-  * the program's distances, and joins each right record through the first
-  * configuration (in greedy selection order) that accepts it — matching
-  * the search's assign-once semantics.
+  * Application re-runs blocking, drops rule-violating pairs, computes the
+  * surviving pairs' distance vectors on driver threads ([[DistanceTable]]),
+  * and joins each right record through the first configuration (in greedy
+  * selection order) that accepts it — matching the search's assign-once
+  * semantics.
   */
 final case class FuzzyJoinProgram(
     configs: Vector[ConfigSpace.JoinConfig],

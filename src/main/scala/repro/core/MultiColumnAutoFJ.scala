@@ -8,10 +8,11 @@ import repro.data.MultiTask
 /** §4: multi-column AutoFJ — Algorithm 3 (forward selection over columns
   * with linear weight blending) on top of the single-column greedy search.
   *
-  * Blocking runs once on the concatenation of all columns; per-column
-  * distance tables are computed in one Spark pass each and aligned by
-  * pair index; candidate weight vectors are evaluated concurrently on the
-  * driver (the search is pure).
+  * Blocking runs once on the concatenation of all columns; the per-column
+  * distance tables of the L–R and of the L–L pairs each come from one
+  * driver-side [[DistanceTable.computeMulti]] call and are aligned by pair
+  * index; candidate weight vectors are evaluated concurrently on the driver
+  * (the search is pure).
   */
 object MultiColumnAutoFJ {
 
@@ -38,7 +39,7 @@ object MultiColumnAutoFJ {
     val dfL = SingleColumnPipeline.toDF(spark, lConcat)
     val dfR = SingleColumnPipeline.toDF(spark, rConcat)
     val (lrCand, llCand) = Blocking.block(spark, dfL, dfR, beta)
-    // Fixed pair order shared by every column's distance pass.
+    // Sorted pairs; every column's distance table keeps this order.
     val lrPairs = lrCand.select("leftId", "rightId").collect()
       .map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
     val llPairs = llCand.select("leftId", "rightId").collect()
@@ -50,12 +51,8 @@ object MultiColumnAutoFJ {
     val rPrepped = task.right.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
     val ctxs = Array.tabulate(m)(c =>
       FeatureContext.build(lPrepped.values.map(_(c)) ++ rPrepped.values.map(_(c))))
-    // Re-sort each column identically: collect() order is not guaranteed
-    // across jobs, and SearchData.fromColumns needs index alignment.
     val lrCols = DistanceTable.computeMulti(spark, lrDf, lPrepped, rPrepped, ctxs)
-      .map(_.sortBy(p => (p.leftId, p.rightId)))
     val llCols = DistanceTable.computeMulti(spark, llDf, lPrepped, lPrepped, ctxs)
-      .map(_.sortBy(p => (p.leftId, p.rightId)))
     PreparedMulti(task.columns, lrCols, llCols)
   }
 

@@ -2,9 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
+import scala.jdk.CollectionConverters._
 
-/** End-to-end single-column AutoFJ pipeline (§3): blocking, negative rules,
-  * distance tables (Spark), then the greedy search (driver).
+/** End-to-end single-column AutoFJ pipeline (§3): blocking (Spark),
+  * negative rules, distance tables and the greedy search (driver).
   */
 object SingleColumnPipeline {
 
@@ -74,10 +75,11 @@ object SingleColumnPipeline {
     StructField("rightId", LongType, nullable = false),
   ))
 
+  /** (leftId, rightId) pairs as a local DataFrame: collecting it runs no
+    * Spark job.
+    */
   def toPairDF(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame =
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(pairs.map { case (a, b) => Row(a, b) }, 8),
-      pairSchema)
+    spark.createDataFrame(pairs.map { case (a, b) => Row(a, b) }.asJava, pairSchema)
 
   /** Run AutoFJ (Algorithm 1) over a prepared task.
     *

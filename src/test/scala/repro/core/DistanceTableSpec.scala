@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 import repro.SparkSpec
+import repro.data.Benchmarks
 
 class DistanceTableSpec extends SparkSpec {
 
@@ -85,5 +88,87 @@ class DistanceTableSpec extends SparkSpec {
     val bwd = DistanceTable.vector(rp, lp, ctx)(ConfigSpace.setId(0, 1, 0, 5))
     assert(fwd < 1.0f, "r ⊆ l: Contain-Jaccard behaves like Jaccard")
     assert(bwd == 1.0f, "l ⊄ r in reverse: Contain-Jaccard saturates at 1")
+  }
+
+  test("a null record is a missing value: the same vectors as the empty string") {
+    val other = Prepped("2008 LSU baseball team")
+    val ctx = FeatureContext.build(Seq(Prepped(""), other))
+    def same(a: Array[Float], b: Array[Float]) = java.util.Arrays.equals(a, b)
+    assert(same(DistanceTable.vector(Prepped(null), other, ctx), DistanceTable.vector(Prepped(""), other, ctx)))
+    assert(same(DistanceTable.vector(other, Prepped(null), ctx), DistanceTable.vector(other, Prepped(""), ctx)))
+    assert(same(DistanceTable.vector(Prepped(null), Prepped(null), ctx),
+      DistanceTable.vector(Prepped(""), Prepped(""), ctx)))
+  }
+
+  /** Benchmarks.tiny()'s blocked L–R and L–L pairs, its records in two
+    * columns (the text and its words reversed), and one context per column.
+    */
+  private lazy val tiny = {
+    val task = Benchmarks.tiny()
+    val (lrCand, llCand) = Blocking.block(spark,
+      SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+    def ids(df: DataFrame) = df.select("leftId", "rightId").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    def cols(recs: Seq[(Long, String)]) =
+      recs.map { case (id, t) => id -> Array(Prepped(t), Prepped(t.split(" ").reverse.mkString(" "))) }.toMap
+    val lCols = cols(task.left); val rCols = cols(task.right)
+    val ctxs = Array.tabulate(2)(c => FeatureContext.build(lCols.values.map(_(c)) ++ rCols.values.map(_(c))))
+    (ids(lrCand), ids(llCand), lCols, rCols, ctxs)
+  }
+
+  private def pairFrame(pairs: Seq[(Long, Long)], partitions: Int): DataFrame =
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(pairs.map { case (a, b) => Row(a, b) }, partitions),
+      StructType(Seq(StructField("leftId", LongType), StructField("rightId", LongType))))
+
+  private def assertRowsMatch(out: Array[PairDist], pairs: Seq[(Long, Long)],
+                              lp: Map[Long, Prepped], rp: Map[Long, Prepped], ctx: FeatureContext): Unit = {
+    assert(out.map(p => (p.leftId, p.rightId)).toSeq == pairs, "rows come back in input pair order")
+    out.foreach { p =>
+      assert(java.util.Arrays.equals(p.d, DistanceTable.vector(lp(p.leftId), rp(p.rightId), ctx)),
+        s"(${p.leftId}, ${p.rightId}) differs from vector")
+    }
+  }
+
+  test("compute and computeMulti rows are bit-equal to vector, in input order, on tiny's blocked pairs") {
+    val (lr, ll, lCols, rCols, ctxs) = tiny
+    assert(lr.nonEmpty && ll.nonEmpty)
+    for ((pairs, rightCols) <- Seq((lr, rCols), (ll, lCols))) {
+      // Reversed, so input order is not the order blocking produced.
+      val input = pairs.reverse
+      val multi = DistanceTable.computeMulti(spark, pairFrame(input, 4), lCols, rightCols, ctxs)
+      assert(multi.length == 2)
+      (0 until 2).foreach { c =>
+        val lp = lCols.map { case (id, v) => id -> v(c) }
+        val rp = rightCols.map { case (id, v) => id -> v(c) }
+        assertRowsMatch(multi(c), input, lp, rp, ctxs(c))
+        assertRowsMatch(DistanceTable.compute(spark, pairFrame(input, 4), lp, rp, ctxs(c)), input, lp, rp, ctxs(c))
+      }
+    }
+  }
+
+  test("output is identical whether the pair frame has 1 or 8 partitions") {
+    val (lr, _, lCols, rCols, ctxs) = tiny
+    def flat(cols: Array[Array[PairDist]]) =
+      cols.map(_.map(p => (p.leftId, p.rightId, p.d.toSeq.map(java.lang.Float.floatToRawIntBits))).toSeq).toSeq
+    val one = DistanceTable.computeMulti(spark, pairFrame(lr, 1), lCols, rCols, ctxs)
+    val eight = DistanceTable.computeMulti(spark, pairFrame(lr, 8), lCols, rCols, ctxs)
+    assert(flat(one) == flat(eight))
+  }
+
+  test("an empty pair frame gives empty tables") {
+    val (_, _, lCols, rCols, ctxs) = tiny
+    val cols = DistanceTable.computeMulti(spark, pairFrame(Seq.empty, 1), lCols, rCols, ctxs)
+    assert(cols.length == ctxs.length && cols.forall(_.isEmpty))
+    val lp = lCols.map { case (id, v) => id -> v(0) }
+    val rp = rCols.map { case (id, v) => id -> v(0) }
+    assert(DistanceTable.compute(spark, SingleColumnPipeline.toPairDF(spark, Seq.empty), lp, rp, ctxs(0)).isEmpty)
+  }
+
+  test("an id missing from the record maps fails with NoSuchElementException") {
+    val (lr, _, lCols, rCols, ctxs) = tiny
+    val missing = lr :+ ((-1L, lr.head._2))
+    intercept[NoSuchElementException] {
+      DistanceTable.computeMulti(spark, pairFrame(missing, 8), lCols, rCols, ctxs)
+    }
   }
 }

@@ -75,4 +75,16 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     assert(without == 1L)
     assert(withRules == 0L)
   }
+
+  test("apply returns on frames with a null text (a missing value)") {
+    val task = Benchmarks.tiny(seed = 23)
+    val cfg = ConfigSpace.JoinConfig(ConfigSpace.setId(0, 1, 0, 0), 0.5)
+    val out = FuzzyJoinProgram(Vector(cfg), Set.empty)(spark,
+      SingleColumnPipeline.toDF(spark, task.left :+ (-1L -> null)),
+      SingleColumnPipeline.toDF(spark, task.right :+ (-2L -> null)))
+      .collect().map(r => r.getLong(0) -> r.getLong(1))
+    assert(out.nonEmpty)
+    assert(out.map(_._1).distinct.length == out.length, "each right record joins at most once")
+    assert(!out.exists { case (r, l) => r == -2L || l == -1L }, "an empty text is at JD 1 from everything")
+  }
 }
