@@ -4,6 +4,7 @@ import org.apache.spark.ml.classification.{MultilayerPerceptronClassifier, Rando
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.SparkSession
 import repro.eval.Metrics.Scored
+import scala.util.chaining._
 
 /** The supervised baselines of §5.1.3, fed with Magellan-style features
   * over the blocked candidate pairs and 50% of the ground truth:
@@ -84,9 +85,5 @@ object SupervisedML {
 
     val scored = ScoredBaselines.bestPerRight(test.map(_._1).zip(scores))
     SplitRun(scored, testGt, testGt.size)
-  }
-
-  private implicit class Pipe[A](private val a: A) extends AnyVal {
-    def pipe[B](f: A => B): B = f(a)
   }
 }

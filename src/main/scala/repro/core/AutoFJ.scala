@@ -46,9 +46,10 @@ object AutoFJ {
 
   /** Shared pre-computation (§3.2's "pre-compute precision estimation"):
     * per-function nearest-l for each r, the joined-order of right records,
-    * and sorted 2θ-ball distance arrays per left record.
+    * and the candidate configurations with the estimated precision of each
+    * of their joins.
     */
-  private final class Prep(data: SearchData, thetas: Array[Double]) {
+  private final class Prep(val data: SearchData, thetas: Array[Double]) {
     val nF: Int = data.nF
     val nR: Int = data.nRight
     val nL: Int = data.nLeft
@@ -124,8 +125,8 @@ object AutoFJ {
       * the smallest dominates (smaller 2θ-balls ⇒ higher estimated
       * precision), so the rest are noise.
       */
-    val candidates: Array[(Int, Int, Int)] = { // (f, k, prefixLen)
-      val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    val candidates: Array[Cand] = {
+      val out = scala.collection.mutable.ArrayBuffer.empty[Cand]
       var f = 0
       while (f < nF) {
         val order = rOrder(f)
@@ -135,13 +136,83 @@ object AutoFJ {
           val th = thetas(k).toFloat
           var len = prev
           while (len < order.length && bestD(f)(order(len)) <= th) len += 1
-          if (len > prev) out += ((f, k, len))
+          if (len > prev) {
+            val twoTheta = 2.0 * thetas(k)
+            out += Cand(f, k, Array.tabulate(len)(i => 1.0 / ballCount(f, bestL(f)(order(i)), twoTheta)))
+          }
           prev = len
           k += 1
         }
         f += 1
       }
       out.toArray
+    }
+
+    def config(c: Cand): JoinConfig = JoinConfig(data.fids(c.f), thetas(c.k))
+  }
+
+  /** Configuration ⟨f, θ_k⟩: it joins the first `p.length` right records of
+    * `rOrder(f)`, the i-th with estimated precision `p(i)` = 1/|ball(l, 2θ)|.
+    * That estimate does not depend on the union, so it is computed once.
+    */
+  private final case class Cand(f: Int, k: Int, p: Array[Double])
+
+  /** The union U of committed configurations and its induced assignment.
+    * A right record joined by several configurations keeps the most
+    * confident join (the conflict rule of §3.1).
+    */
+  private final class Union(prep: Prep) {
+    val assignedL: Array[Int] = Array.fill(prep.nR)(-1)
+    val assignedP = new Array[Double](prep.nR)
+    var tp = 0.0
+    var fp = 0.0
+    var nAssigned = 0
+
+    def precision: Double = tp / math.max(tp + fp, Eps)
+
+    /** (ΔTP, ΔFP, newJoins) of adding c to the union. */
+    def delta(c: Cand): (Double, Double, Int) = {
+      val order = prep.rOrder(c.f)
+      var dTP = 0.0; var dFP = 0.0; var nNew = 0
+      var i = 0
+      while (i < c.p.length) {
+        val r = order(i); val p = c.p(i)
+        if (assignedL(r) < 0) { dTP += p; dFP += 1.0 - p; nNew += 1 }
+        else if (p > assignedP(r)) { dTP += p - assignedP(r); dFP -= p - assignedP(r) }
+        i += 1
+      }
+      (dTP, dFP, nNew)
+    }
+
+    def commit(c: Cand): Unit = {
+      val order = prep.rOrder(c.f)
+      val bl = prep.bestL(c.f)
+      var i = 0
+      while (i < c.p.length) {
+        val r = order(i); val p = c.p(i)
+        if (assignedL(r) < 0) {
+          assignedL(r) = bl(r); assignedP(r) = p
+          tp += p; fp += 1.0 - p; nAssigned += 1
+        } else if (p > assignedP(r)) {
+          tp += p - assignedP(r); fp -= p - assignedP(r)
+          assignedL(r) = bl(r); assignedP(r) = p
+        }
+        i += 1
+      }
+    }
+
+    def result(program: Vector[JoinConfig], trace: Vector[IterStat]): Result = {
+      val assignment = Map.newBuilder[Long, Long]
+      val scores = Map.newBuilder[Long, Double]
+      var r = 0
+      while (r < prep.nR) {
+        if (assignedL(r) >= 0) {
+          assignment += prep.data.rIds(r) -> prep.data.lIds(assignedL(r))
+          scores += prep.data.rIds(r) -> assignedP(r)
+        }
+        r += 1
+      }
+      Result(program, assignment.result(), scores.result(), trace, precision, tp)
     }
   }
 
@@ -163,58 +234,12 @@ object AutoFJ {
       gtTotal: Int = 0,
   ): Result = {
     val prep = new Prep(data, thetas)
-    val nR = prep.nR
-
-    val assignedL = Array.fill(nR)(-1)
-    val assignedP = new Array[Double](nR)
-    var tp = 0.0
-    var fp = 0.0
-    var nAssigned = 0
+    val u = new Union(prep)
     val used = new Array[Boolean](prep.candidates.length)
 
     val lIdxOf: Map[Long, Int] = data.lIds.zipWithIndex.toMap
     val gtDense: Array[Int] =
-      Array.tabulate(nR)(r => gt.get(data.rIds(r)).flatMap(lIdxOf.get).getOrElse(-1))
-
-    /** (ΔTP, ΔFP, newJoins) of adding candidate ci, honoring the conflict
-      * rule of §3.1 (replace an assignment only with a more confident one).
-      */
-    def delta(ci: Int): (Double, Double, Int) = {
-      val (f, k, plen) = prep.candidates(ci)
-      var dTP = 0.0; var dFP = 0.0; var nNew = 0
-      val twoTheta = 2.0 * thetas(k)
-      val order = prep.rOrder(f)
-      var i = 0
-      while (i < plen) {
-        val r = order(i)
-        val l = prep.bestL(f)(r)
-        val p = 1.0 / prep.ballCount(f, l, twoTheta)
-        if (assignedL(r) < 0) { dTP += p; dFP += 1.0 - p; nNew += 1 }
-        else if (p > assignedP(r)) { dTP += p - assignedP(r); dFP -= p - assignedP(r) }
-        i += 1
-      }
-      (dTP, dFP, nNew)
-    }
-
-    def commit(ci: Int): Unit = {
-      val (f, k, plen) = prep.candidates(ci)
-      val twoTheta = 2.0 * thetas(k)
-      val order = prep.rOrder(f)
-      var i = 0
-      while (i < plen) {
-        val r = order(i)
-        val l = prep.bestL(f)(r)
-        val p = 1.0 / prep.ballCount(f, l, twoTheta)
-        if (assignedL(r) < 0) {
-          assignedL(r) = l; assignedP(r) = p
-          tp += p; fp += 1.0 - p; nAssigned += 1
-        } else if (p > assignedP(r)) {
-          tp += p - assignedP(r); fp -= p - assignedP(r)
-          assignedL(r) = l; assignedP(r) = p
-        }
-        i += 1
-      }
-    }
+      Array.tabulate(prep.nR)(r => gt.get(data.rIds(r)).flatMap(lIdxOf.get).getOrElse(-1))
 
     val program = Vector.newBuilder[JoinConfig]
     val trace = Vector.newBuilder[IterStat]
@@ -223,29 +248,29 @@ object AutoFJ {
     while (continue && iter < prep.candidates.length) {
       var best = -1
       var bestProfit = 0.0
-      var bestNew = 0
+      var bestDelta = (0.0, 0.0, 0)
       var ci = 0
       while (ci < prep.candidates.length) {
         if (!used(ci)) {
-          val (dTP, dFP, nNew) = delta(ci)
+          val d @ (dTP, dFP, nNew) = u.delta(prep.candidates(ci))
           // Only configs joining a new right record can increase profit
           // (the paper's |R|-iterations termination argument).
           if (nNew > 0) {
-            val profit = (tp + dTP) / math.max(fp + dFP, Eps)
-            if (profit > bestProfit || (profit == bestProfit && nNew > bestNew)) {
-              best = ci; bestProfit = profit; bestNew = nNew
+            val profit = (u.tp + dTP) / math.max(u.fp + dFP, Eps)
+            if (profit > bestProfit || (profit == bestProfit && nNew > bestDelta._3)) {
+              best = ci; bestProfit = profit; bestDelta = d
             }
           }
         }
         ci += 1
       }
-      if (best < 0 || bestNew == 0) continue = false
+      val (dTP, dFP, bestNew) = bestDelta
+      if (best < 0) continue = false
       else {
-        val (dTP, dFP, _) = delta(best)
-        val newPrec = (tp + dTP) / math.max(tp + dTP + fp + dFP, Eps)
+        val newPrec = (u.tp + dTP) / math.max(u.tp + dTP + u.fp + dFP, Eps)
         if (tau > 0 && newPrec <= tau) continue = false
         else {
-          commit(best)
+          u.commit(prep.candidates(best))
           used(best) = true
           iter += 1
           val (actP, actR) =
@@ -253,77 +278,41 @@ object AutoFJ {
             else {
               var correct = 0
               var r = 0
-              while (r < nR) {
-                if (assignedL(r) >= 0 && assignedL(r) == gtDense(r)) correct += 1
+              while (r < prep.nR) {
+                if (u.assignedL(r) >= 0 && u.assignedL(r) == gtDense(r)) correct += 1
                 r += 1
               }
-              (correct.toDouble / math.max(nAssigned, 1),
+              (correct.toDouble / math.max(u.nAssigned, 1),
                if (gtTotal > 0) correct.toDouble / gtTotal else -1.0)
             }
-          val (f, k, _) = prep.candidates(best)
-          val cfg = JoinConfig(data.fids(f), thetas(k))
+          val cfg = prep.config(prep.candidates(best))
           program += cfg
-          trace += IterStat(iter, cfg, tp / math.max(tp + fp, Eps), tp, actP, actR, bestNew)
+          trace += IterStat(iter, cfg, u.precision, u.tp, actP, actR, bestNew)
         }
       }
     }
-
-    val assignment = Map.newBuilder[Long, Long]
-    val scores = Map.newBuilder[Long, Double]
-    var r = 0
-    while (r < nR) {
-      if (assignedL(r) >= 0) {
-        assignment += data.rIds(r) -> data.lIds(assignedL(r))
-        scores += data.rIds(r) -> assignedP(r)
-      }
-      r += 1
-    }
-    Result(program.result(), assignment.result(), scores.result(), trace.result(),
-           tp / math.max(tp + fp, Eps), tp)
+    u.result(program.result(), trace.result())
   }
 
   /** The AutoFJ-UC ablation: exhaustively pick the *single* configuration
     * with the highest estimated TP among those whose estimated precision
-    * exceeds `tau`. Returns null when no configuration qualifies.
+    * exceeds `tau`; ties go to the first candidate (smaller function slot,
+    * then smaller θ). When no configuration qualifies, the result is empty
+    * (no program, no assignment, estTP 0), as from [[search]].
     */
   def searchOneConfig(data: SearchData, thetas: Array[Double], tau: Double): Result = {
     val prep = new Prep(data, thetas)
-    var bestIdx = -1
+    val u = new Union(prep)
+    var best: Cand = null
     var bestTP = 0.0
-    var bestFP = 0.0
-    var ci = 0
-    while (ci < prep.candidates.length) {
-      val (f, k, plen) = prep.candidates(ci)
-      val twoTheta = 2.0 * thetas(k)
-      val order = prep.rOrder(f)
-      var tp = 0.0; var fpAcc = 0.0
-      var i = 0
-      while (i < plen) {
-        val r = order(i)
-        val p = 1.0 / prep.ballCount(f, prep.bestL(f)(r), twoTheta)
-        tp += p; fpAcc += 1.0 - p
-        i += 1
-      }
-      val prec = tp / math.max(tp + fpAcc, Eps)
-      if (prec > tau && tp > bestTP) { bestIdx = ci; bestTP = tp; bestFP = fpAcc }
-      ci += 1
+    prep.candidates.foreach { c =>
+      val (dTP, dFP, _) = u.delta(c)
+      if (dTP / math.max(dTP + dFP, Eps) > tau && dTP > bestTP) { best = c; bestTP = dTP }
     }
-    if (bestIdx < 0) return null
-    val (f, k, plen) = prep.candidates(bestIdx)
-    val twoTheta = 2.0 * thetas(k)
-    val order = prep.rOrder(f)
-    val assignment = Map.newBuilder[Long, Long]
-    val scores = Map.newBuilder[Long, Double]
-    var i = 0
-    while (i < plen) {
-      val r = order(i)
-      val l = prep.bestL(f)(r)
-      assignment += data.rIds(r) -> data.lIds(l)
-      scores += data.rIds(r) -> 1.0 / prep.ballCount(f, l, twoTheta)
-      i += 1
+    if (best == null) u.result(Vector.empty, Vector.empty)
+    else {
+      u.commit(best)
+      u.result(Vector(prep.config(best)), Vector.empty)
     }
-    val cfg = JoinConfig(data.fids(f), thetas(k))
-    Result(Vector(cfg), assignment.result(), scores.result(), Vector.empty,
-           bestTP / math.max(bestTP + bestFP, Eps), bestTP)
   }
 }

@@ -160,11 +160,4 @@ object Distances {
     case 7 => containDice(s)
     case other => throw new IllegalArgumentException(s"no set distance $other")
   }
-
-  /** Char distances indexed as in ConfigSpace.CharDistCodes. */
-  def charDistance(d: Int, a: String, b: String): Double = d match {
-    case 0 => jaroWinkler(a, b)
-    case 1 => editDistance(a, b)
-    case other => throw new IllegalArgumentException(s"no char distance $other")
-  }
 }

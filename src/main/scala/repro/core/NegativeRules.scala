@@ -44,13 +44,4 @@ object NegativeRules {
     singletonDiff(wordSet(l), wordSet(r)).exists { case (a, b) =>
       rules.contains(Rule.of(a, b))
     }
-
-  /** Filter an L–R candidate pair list (by id) against the rules. */
-  def filterPairs(
-      rules: Set[Rule],
-      pairs: Array[(Long, Long)],
-      leftText: Map[Long, String],
-      rightText: Map[Long, String],
-  ): Array[(Long, Long)] =
-    pairs.filterNot { case (lid, rid) => violates(rules, leftText(lid), rightText(rid)) }
 }

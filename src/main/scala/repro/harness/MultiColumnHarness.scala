@@ -6,13 +6,11 @@ import repro.core._
 import repro.data.{MultiColGen, MultiTask}
 import repro.eval.Metrics
 import repro.eval.Metrics.Scored
-import SingleColumnHarness.MethodEval
+import SingleColumnHarness.{BaselineNames, MethodEval, Steps, Tau}
 
 /** Shared evaluation harness for the multi-column tables (3, 4, 7). */
 object MultiColumnHarness {
 
-  val Tau = 0.9
-  val Steps = 50
   val G = 10
 
   final case class MultiEval(
@@ -32,9 +30,6 @@ object MultiColumnHarness {
       deltaExcelAr: Double,
       deltaAlAr: Double,
   )
-
-  val BaselineNames: Vector[String] =
-    Vector("Excel", "FW", "ZeroER", "ECM", "PP", "Magellan", "DM", "AL")
 
   /** AutoFJ multi-column quality on one task: (P, R, PR-AUC, selected,
     * weights).

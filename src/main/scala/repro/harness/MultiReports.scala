@@ -1,7 +1,8 @@
 package repro.harness
 
 import repro.eval.Metrics
-import MultiColumnHarness._
+import MultiColumnHarness.MultiEval
+import SingleColumnHarness.BaselineNames
 import Reports.fmt
 
 /** Builders for the multi-column tables (3, 4a, 4b, 7). */

@@ -85,8 +85,8 @@ object SingleColumnHarness {
     // the precision target).
     val ucR = {
       val data = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullFids)
-      val res = bestSingleConfig(data, ConfigSpace.thresholds(Steps), Tau)
-      Metrics.precisionRecall(res, gt, gtTotal)._2
+      val res = AutoFJ.searchOneConfig(data, ConfigSpace.thresholds(Steps), Tau)
+      Metrics.precisionRecall(res.assignment, gt, gtTotal)._2
     }
     // AutoFJ-NR: full greedy without negative rules.
     val nrRes = SingleColumnPipeline.autoFJ(prepared, Tau, negativeRules = false, gt = gt, gtTotal = gtTotal)
@@ -153,12 +153,6 @@ object SingleColumnHarness {
 
     TaskEval(task.name, task.left.size, task.right.size, ubr, pepcc, rercc,
       autoP, autoR, autoPrAuc, ucR, nrR, p24, rec24, auto24PrAuc, bsjAr, bsjAuc, methods)
-  }
-
-  /** AutoFJ-UC: the single best configuration (exhaustive pick, Eq. 13). */
-  def bestSingleConfig(data: SearchData, thetas: Array[Double], tau: Double): Map[Long, Long] = {
-    val res = AutoFJ.searchOneConfig(data, thetas, tau)
-    if (res == null) Map.empty else res.assignment
   }
 
   /** BSJ selection across datasets: the function with the best mean AR. */

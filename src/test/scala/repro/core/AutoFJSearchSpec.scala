@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Driver-side search tests on hand-built distance tables — the 1-D
@@ -120,16 +122,15 @@ class AutoFJSearchSpec extends AnyFunSuite {
   test("searchOneConfig picks the max-TP config meeting the target") {
     val d = data1(lrGrid, llGrid)
     val res = AutoFJ.searchOneConfig(d, thetas = Array(0.02, 0.05), tau = 0.9)
-    assert(res != null)
     assert(res.assignment == Map(100L -> 0L))
     assert(res.program.size == 1)
   }
 
-  test("searchOneConfig returns null when nothing meets the target") {
+  test("searchOneConfig returns an empty result when nothing meets the target") {
     // Only the unsafe pair exists: precision 0.5 < 0.9 everywhere.
     val lr = Seq((0L, 101L, 0.049), (1L, 101L, 0.051))
     val res = AutoFJ.searchOneConfig(data1(lr, llGrid), thetas = Array(0.05), tau = 0.9)
-    assert(res == null)
+    assert(res.program.isEmpty && res.assignment.isEmpty && res.estTP == 0.0)
   }
 
   test("searchOneConfig with tau=0 joins through the best single config") {
@@ -137,7 +138,8 @@ class AutoFJSearchSpec extends AnyFunSuite {
     // a tie, resolved to the first (smaller θ) config deterministically.
     val d = data1(lrGrid, llGrid)
     val res = AutoFJ.searchOneConfig(d, thetas = Array(0.02, 0.05), tau = 0.0)
-    assert(res != null && res.assignment.nonEmpty)
+    assert(res.program.map(_.theta) == Vector(0.02))
+    assert(res.assignment == Map(100L -> 0L))
     assert(math.abs(res.estTP - 1.0) < 1e-9)
   }
 
@@ -147,5 +149,35 @@ class AutoFJSearchSpec extends AnyFunSuite {
     val a = AutoFJ.search(d1, Array(0.02, 0.05), 0.9)
     val b = AutoFJ.search(d2, Array(0.02, 0.05), 0.9)
     assert(a.program == b.program && a.assignment == b.assignment)
+  }
+
+  /** Small random tables: up to 6 left and 8 right records, 1–2 functions,
+    * distances on a coarse grid so that ties are common.
+    */
+  private val smallData: Gen[SearchData] = for {
+    nL <- Gen.choose(1, 6)
+    nR <- Gen.choose(1, 8)
+    nF <- Gen.choose(1, 2)
+    dist = Gen.listOfN(nF, Gen.choose(0, 10).map(i => (i / 20.0).toFloat)).map(_.toArray)
+    lrKeys <- Gen.someOf(for (l <- 0 until nL; r <- 0 until nR) yield (l.toLong, 100L + r))
+    lr <- Gen.sequence[List[PairDist], PairDist](lrKeys.map { case (l, r) => dist.map(PairDist(l, r, _)) })
+    llKeys <- Gen.someOf(for (a <- 0 until nL; b <- 0 until nL if a != b) yield (a.toLong, b.toLong))
+    ll <- Gen.sequence[List[PairDist], PairDist](llKeys.map { case (a, b) => dist.map(PairDist(a, b, _)) })
+  } yield SearchData.fromSingle(lr.toArray, ll.toArray, fids = (0 until nF).toArray)
+
+  test("random tables: results are consistent with their estimates (ScalaCheck)") {
+    val thetas = Array(0.05, 0.1, 0.2, 0.3, 0.5)
+    val prop = Prop.forAll(smallData, Gen.oneOf(0.0, 0.57, 0.83)) { (d, tau) =>
+      def consistent(res: AutoFJ.Result): Boolean =
+        res.assignment.keySet == res.scores.keySet &&
+          math.abs(res.estTP - res.scores.values.sum) < 1e-9 &&
+          (tau <= 0 || res.program.isEmpty || res.estPrecision > tau)
+      val one = AutoFJ.searchOneConfig(d, thetas, tau)
+      consistent(AutoFJ.search(d, thetas, tau)) && consistent(one) &&
+        ((one.program.isEmpty && one.assignment.isEmpty && one.estTP == 0.0) ||
+          (one.program.size == 1 && one.estPrecision > tau))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }

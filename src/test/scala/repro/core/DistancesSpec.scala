@@ -90,13 +90,6 @@ class DistancesSpec extends AnyFunSuite {
   test("jaroWinkler vs empty = 1")(assert(Distances.jaroWinkler("abc", "") == 1.0))
   test("jaro no common chars = 0 similarity")(assert(Distances.jaro("ab", "cd") == 0.0))
 
-  // ---- dispatchers ---------------------------------------------------------
-  test("charDistance dispatch") {
-    assert(Distances.charDistance(0, "a", "a") == 0.0)
-    assert(Distances.charDistance(1, "a", "b") == 1.0)
-    intercept[IllegalArgumentException](Distances.charDistance(2, "a", "b"))
-  }
-
   // ---- Figure 3(b) intuition: roman numerals defeat small edit distances --
   test("adjacent roman numeral events are 1-2 edits apart") {
     val a = "super bowl xx championship game"

@@ -61,14 +61,6 @@ class NegativeRulesSpec extends AnyFunSuite {
       "2008 LSU Tigers baseball team", "2007 LSU Tigers football squad"))
   }
 
-  test("filterPairs removes exactly the violating pairs") {
-    val rules = NegativeRules.learn(Seq((L(0), L(1))))
-    val lText = Map(1L -> "2008 LSU Tigers baseball team")
-    val rText = Map(10L -> "2008 LSU Tigers football team", 11L -> "2008 LSU Tigers basebal team")
-    val kept = NegativeRules.filterPairs(rules, Array((1L, 10L), (1L, 11L)), lText, rText)
-    assert(kept.toSeq == Seq((1L, 11L)))
-  }
-
   test("stemming conflates plural variants before the diff") {
     // "Bulldogs" vs "Bulldog" stem identically, so no spurious rule.
     val rules = NegativeRules.learn(Seq((

@@ -10,7 +10,7 @@ class MultiReportsSpec extends AnyFunSuite {
     MultiEval(name, "Domain", nAttr = 5, nL = 100, nR = 60, nMatches = 30,
       selected = Vector("name"), weights = Vector(1.0),
       autoP = 0.9, autoR = r, autoPrAuc = r,
-      methods = MultiColumnHarness.BaselineNames.map(m =>
+      methods = SingleColumnHarness.BaselineNames.map(m =>
         m -> MethodEval(r - 0.1, r - 0.05)).toMap,
       deltaAutoR = 0.0, deltaExcelAr = -0.1, deltaAlAr = -0.05)
 
