@@ -1,0 +1,109 @@
+package repro.jobs
+
+import java.nio.ByteBuffer
+import java.security.MessageDigest
+import repro.core._
+import repro.data.{Benchmarks, BenchmarkGen, MultiColGen}
+import repro.harness.{MultiColumnHarness, SingleColumnHarness}
+
+/** SHA-256 digests of what AutoFJ computes on the 20 single-column and the
+  * 8 multi-column tasks at full size, one line per table: `task table hex`,
+  * then one line `ALL hex` over all of them. Two builds of the program
+  * compute the same tables bit for bit exactly when their outputs agree.
+  *
+  *  - single-column: the `lrAll`, `lrFiltered` and `llPairs` distance tables,
+  *    the learned rules, `search` at τ = 0.9 and τ = 0 over the 140 and the
+  *    24 functions, `searchOneConfig` at τ = 0.9, and the rows of the τ = 0.9
+  *    program's `FuzzyJoinProgram.apply`;
+  *  - multi-column: every column's L–R and L–L table and Algorithm 3's
+  *    `run` as the Table 4 harness calls it.
+  *
+  * A table digest covers ids and the raw bits of every float; a result
+  * digest covers the program, the sorted assignment, the raw bits of the
+  * scores, estPrecision and estTP, and (multi) the weights and selected
+  * columns. Arguments, when given, keep only the tasks they name.
+  *
+  * {{{ sbt "runMain repro.jobs.DigestJob [task ...]" }}}
+  */
+object DigestJob {
+
+  private final class Digest {
+    private val md = MessageDigest.getInstance("SHA-256")
+    private val buf = ByteBuffer.allocate(8)
+    def long(x: Long): Unit = { buf.clear(); buf.putLong(x); md.update(buf.array(), 0, 8) }
+    def double(x: Double): Unit = long(java.lang.Double.doubleToRawLongBits(x))
+    def float(x: Float): Unit = long(java.lang.Float.floatToRawIntBits(x).toLong)
+    def string(s: String): Unit = { val b = s.getBytes("UTF-8"); long(b.length.toLong); md.update(b) }
+    def hex: String = md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  private def table(pairs: Array[PairDist]): String = {
+    val d = new Digest
+    pairs.foreach { p => d.long(p.leftId); d.long(p.rightId); p.d.foreach(d.float) }
+    d.hex
+  }
+
+  private def result(res: AutoFJ.Result, extra: Digest => Unit = _ => ()): String = {
+    val d = new Digest
+    res.program.foreach { c => d.long(c.fId.toLong); d.double(c.theta) }
+    d.long(-1L)
+    res.assignment.toSeq.sorted.foreach { case (r, l) => d.long(r); d.long(l); d.double(res.scores(r)) }
+    d.double(res.estPrecision); d.double(res.estTP)
+    extra(d)
+    d.hex
+  }
+
+  def main(args: Array[String]): Unit = {
+    val keep = args.toSet
+    def wanted(name: String) = keep.isEmpty || keep(name)
+    val lines = Vector.newBuilder[String]
+    def emit(task: String, name: String, hex: String): Unit = {
+      val line = s"$task $name $hex"
+      println(line)
+      lines += line
+    }
+    val spark = JobSession.build("autofj-digest")
+    try {
+      val tau = SingleColumnHarness.Tau
+      val thetas = ConfigSpace.thresholds(SingleColumnHarness.Steps)
+      val full = ConfigSpace.full.map(_.id).toArray
+      val reduced = ConfigSpace.reduced24.toArray
+      Benchmarks.singleColumn.filter(s => wanted(s.name)).foreach { spec =>
+        val task = BenchmarkGen.generate(spec)
+        val p = SingleColumnPipeline.prepare(spark, task.left, task.right)
+        emit(spec.name, "lrAll", table(p.lrAll))
+        emit(spec.name, "lrFiltered", table(p.lrFiltered))
+        emit(spec.name, "llPairs", table(p.llPairs))
+        val rules = new Digest
+        p.rules.toSeq.map(r => (r.a, r.b)).sorted.foreach { case (a, b) => rules.string(a); rules.string(b) }
+        emit(spec.name, "rules", rules.hex)
+        for ((fname, fids) <- Seq("f140" -> full, "f24" -> reduced); t <- Seq(tau, 0.0))
+          emit(spec.name, s"search-$fname-tau$t", result(SingleColumnPipeline.autoFJ(p, t, fids = fids)))
+        val one = AutoFJ.searchOneConfig(SearchData.fromSingle(p.lrFiltered, p.llPairs, full), thetas, tau)
+        emit(spec.name, "searchOneConfig", result(one))
+        val res = SingleColumnPipeline.autoFJ(p, tau)
+        val rows = FuzzyJoinProgram(res.program, p.rules)
+          .apply(spark, SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+          .collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted
+        val applied = new Digest
+        rows.foreach { case (r, l, dist, ci) => applied.long(r); applied.long(l); applied.double(dist); applied.long(ci) }
+        emit(spec.name, "apply", applied.hex)
+      }
+      MultiColGen.specs.filter(s => wanted(s.name)).foreach { spec =>
+        val task = MultiColGen.generate(spec)
+        val p = MultiColumnAutoFJ.prepare(spark, task)
+        p.lrCols.indices.foreach { c =>
+          emit(spec.name, s"lr-col$c", table(p.lrCols(c)))
+          emit(spec.name, s"ll-col$c", table(p.llCols(c)))
+        }
+        val run = MultiColumnAutoFJ.run(p, tau, g = MultiColumnHarness.G, selectionFids = Some(reduced))
+        emit(spec.name, "run", result(run.result, d => {
+          run.weights.foreach(d.double); run.selected.foreach(c => d.long(c.toLong))
+        }))
+      }
+    } finally spark.stop()
+    val all = new Digest
+    lines.result().foreach(all.string)
+    println(s"ALL ${all.hex}")
+  }
+}

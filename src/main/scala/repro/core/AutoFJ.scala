@@ -90,24 +90,34 @@ object AutoFJ {
       off
     }
 
+    /** Per f, the L–L distances of each ball around an l that is some r's
+      * nearest under f, sorted, at `ballOff(l)`. [[ballCount]] is asked about
+      * no other ball, so the others are neither filled nor sorted.
+      */
     val ballDist: Array[Array[Float]] = Array.tabulate(nF) { f =>
+      val needed = new Array[Boolean](nL)
+      bestL(f).foreach(l => if (l >= 0) needed(l) = true)
       val out = new Array[Float](data.nLl)
       val pos = java.util.Arrays.copyOf(ballOff, nL)
       val dists = data.llDist(f)
       var i = 0
       while (i < data.nLl) {
         val l = data.llLeft(i)
-        out(pos(l)) = dists(i); pos(l) += 1
+        if (needed(l)) { out(pos(l)) = dists(i); pos(l) += 1 }
         i += 1
       }
       var l = 0
-      while (l < nL) { java.util.Arrays.sort(out, ballOff(l), ballOff(l + 1)); l += 1 }
+      while (l < nL) {
+        if (needed(l)) java.util.Arrays.sort(out, ballOff(l), ballOff(l + 1))
+        l += 1
+      }
       out
     }
 
-    /** #L records within radius x of l, counting l itself (Eq. 8/9).
-      * Distances are stored as floats; the radius is rounded to float so a
-      * neighbor at exactly 2θ is counted (0.1f > 0.1d otherwise).
+    /** #L records within radius x of l, counting l itself (Eq. 8/9), for an
+      * l that is some r's nearest under f. Distances are stored as floats;
+      * the radius is rounded to float so a neighbor at exactly 2θ is counted
+      * (0.1f > 0.1d otherwise).
       */
     def ballCount(f: Int, l: Int, x: Double): Int = {
       val xf = x.toFloat

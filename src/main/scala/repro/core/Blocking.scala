@@ -114,7 +114,8 @@ object Blocking {
     StructField("blockSim", DoubleType, nullable = false),
   ))
 
-  private def records(df: DataFrame): Array[(Long, String)] =
+  /** The (id, text) rows of a record frame, collected (one job). */
+  private[core] def records(df: DataFrame): Array[(Long, String)] =
     df.select("id", "text").collect().map(r => (r.getLong(0), r.getString(1)))
 
   private def probeRows(df: DataFrame, self: Boolean): DataFrame =
@@ -175,4 +176,11 @@ object Blocking {
     probe(spark, index(lRecs), probeRows(right, self = false).union(probeRows(left, self = true)),
           topK(lRecs.length, beta))
   }
+
+  /** The L–R half of [[block]] for L records already on the driver: the same
+    * index over `lRecs`, probed by `right`'s records only, in one job.
+    */
+  def blockRight(spark: SparkSession, lRecs: Array[(Long, String)], right: DataFrame, beta: Double = 1.0)
+      : DataFrame =
+    probe(spark, index(lRecs), probeRows(right, self = false), topK(lRecs.length, beta))._1
 }

@@ -37,13 +37,9 @@ object Prepped {
 }
 
 /** Dataset-level weighting context: one IDF table per (P, T) combo, built
-  * over the tokenized L ∪ R corpus.
+  * over the tokenized L ∪ R corpus (the IDFW weighting; EW needs no table).
   */
-final class FeatureContext(val idfs: Array[TokenWeights]) {
-  /** Weights for weighting option `w` under (P, T) combo index `pt`. */
-  def weights(w: Int, pt: Int): TokenWeights =
-    if (w == 0) TokenWeights.equal else idfs(pt)
-}
+final class FeatureContext(val idfs: Array[TokenWeights])
 
 object FeatureContext {
   def build(corpus: Iterable[Prepped]): FeatureContext = {
@@ -60,9 +56,16 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
 
 /** Computes the per-pair distance vectors for a set of candidate pairs on
   * the driver. The (leftId, rightId) rows of the candidate frame from
-  * blocking are read once, and [[vector]] runs over them in chunks on the
-  * global execution context. The search reads every distance on the driver,
-  * so a Spark job here would only add serialization and scheduling.
+  * blocking are read once, and the vectors are computed over them in chunks
+  * on the global execution context. The search reads every distance on the
+  * driver, so a Spark job here would only add serialization and scheduling.
+  *
+  * Each column's records are coded once before the pairs are read: per
+  * (P, T), every token becomes an id into a dictionary of the column's
+  * tokens sorted as strings, with its IDF weight in an array. A pair then
+  * needs one merge over ints per (P, T), which yields the equal-weight and
+  * the IDF set statistics together ([[Distances.setStatsIds]]), with the same
+  * sums, in the same order, as merging the token strings.
   *
   * Order contract: row `i` of every returned table is the `i`-th row of
   * `pairs.collect()`, so the tables of all columns are index-aligned and
@@ -73,40 +76,71 @@ object DistanceTable {
   /** Pairs per task on the execution context. */
   private val Chunk = 32
 
+  private val NumPT = ConfigSpace.NumPreproc * ConfigSpace.NumTok
+
+  /** A record with its token sets as dictionary ids, one array per (P, T). */
+  private final class Coded(val rec: Prepped, val toks: Array[Array[Int]])
+
+  /** The token dictionaries of one column over `records`: per (P, T), the
+    * distinct tokens sorted as strings, so ascending ids are string order,
+    * and `idf(pt)(id)` is the token's weight under `ctx`. Tokens `ctx` has
+    * not seen get its unseen-token weight.
+    */
+  private final class Coding(records: Iterable[Prepped], ctx: FeatureContext) {
+    private val ids: Array[java.util.HashMap[String, Integer]] = new Array(NumPT)
+    val idf: Array[Array[Double]] = Array.tabulate(NumPT) { pt =>
+      val seen = new java.util.HashSet[String]
+      records.foreach(_.toks(pt).foreach(seen.add))
+      val dict = seen.toArray(new Array[String](0)).sorted
+      val id = new java.util.HashMap[String, Integer](dict.length * 2)
+      dict.indices.foreach(i => id.put(dict(i), i))
+      ids(pt) = id
+      dict.map(ctx.idfs(pt)(_))
+    }
+
+    def apply(p: Prepped): Coded =
+      new Coded(p, Array.tabulate(NumPT)(pt => p.toks(pt).map(t => ids(pt).get(t).intValue)))
+  }
+
   /** All 140 distances between a left and a right record (order: function
     * id). Asymmetric functions (Contain-*) treat `l` as the reference side.
+    * Tokens of `l` and `r` that `ctx` has not seen get its unseen weight.
     */
   def vector(l: Prepped, r: Prepped, ctx: FeatureContext): Array[Float] = {
+    val coding = new Coding(Seq(l, r), ctx)
+    vector(coding(l), coding(r), coding.idf)
+  }
+
+  private def vector(l: Coded, r: Coded, idf: Array[Array[Double]]): Array[Float] = {
     val out = new Array[Float](ConfigSpace.Size)
+    val ls = l.rec.strs; val rs = r.rec.strs
     // Missing-value convention of §5.2.2: missing values are empty strings
     // and two missing values are maximally distant under every function.
-    if (l.strs(0).isEmpty && r.strs(0).isEmpty) {
+    if (ls(0).isEmpty && rs(0).isEmpty) {
       java.util.Arrays.fill(out, 1.0f)
       return out
     }
     var p = 0
     while (p < ConfigSpace.NumPreproc) {
       // Character-based.
-      out(ConfigSpace.charId(p, 0)) = Distances.jaroWinkler(l.strs(p), r.strs(p)).toFloat
-      out(ConfigSpace.charId(p, 1)) = Distances.editDistance(l.strs(p), r.strs(p)).toFloat
-      // Set-based: one merge pass per (P, T, W), eight distances each.
+      out(ConfigSpace.charId(p, 0)) = Distances.jaroWinkler(ls(p), rs(p)).toFloat
+      out(ConfigSpace.charId(p, 1)) = Distances.editDistance(ls(p), rs(p)).toFloat
+      // Set-based: one merge per (P, T) gives both weightings' statistics,
+      // eight distances each (weighting 0 = EW, 1 = IDFW).
       var t = 0
       while (t < ConfigSpace.NumTok) {
         val pt = p * ConfigSpace.NumTok + t
-        var w = 0
-        while (w < ConfigSpace.NumWeight) {
-          val stats = Distances.setStats(l.toks(pt), r.toks(pt), ctx.weights(w, pt))
-          var d = 0
-          while (d < ConfigSpace.NumSetDist) {
-            out(ConfigSpace.setId(p, t, w, d)) = Distances.setDistance(d, stats).toFloat
-            d += 1
-          }
-          w += 1
+        val (ew, iw) = Distances.setStatsIds(l.toks(pt), r.toks(pt), idf(pt))
+        var d = 0
+        while (d < ConfigSpace.NumSetDist) {
+          out(ConfigSpace.setId(p, t, 0, d)) = Distances.setDistance(d, ew).toFloat
+          out(ConfigSpace.setId(p, t, 1, d)) = Distances.setDistance(d, iw).toFloat
+          d += 1
         }
         t += 1
       }
       // Embedding-based.
-      out(ConfigSpace.embedId(p)) = HashEmbedding.cosineDistance(l.emb(p), r.emb(p)).toFloat
+      out(ConfigSpace.embedId(p)) = HashEmbedding.cosineDistance(l.rec.emb(p), r.rec.emb(p)).toFloat
       p += 1
     }
     out
@@ -126,18 +160,36 @@ object DistanceTable {
     val ids = pairs.select("leftId", "rightId").collect()
     val n = ids.length
     val m = ctxs.length
-    val cols = Array.fill(m)(new Array[PairDist](n))
     implicit val ec: ExecutionContext = ExecutionContext.global
+    // L–L tables pass the same map on both sides: code its records once.
+    val self = leftCols eq rightCols
+    val lIds = leftCols.keys.toArray
+    val rIds = if (self) lIds else rightCols.keys.toArray
+    val lPos = lIds.iterator.zipWithIndex.toMap
+    val rPos = if (self) lPos else rIds.iterator.zipWithIndex.toMap
+    // Per column: the coded left and right records (by position) and the
+    // IDF weights of the column's token ids.
+    val coded = Await.result(Future.sequence((0 until m).map { c =>
+      Future {
+        val ls = lIds.map(leftCols(_)(c))
+        val rs = if (self) ls else rIds.map(rightCols(_)(c))
+        val coding = new Coding(if (self) ls else ls ++ rs, ctxs(c))
+        val lc = ls.map(coding(_))
+        (lc, if (self) lc else rs.map(coding(_)), coding.idf)
+      }
+    }), Duration.Inf).toArray
+    val cols = Array.fill(m)(new Array[PairDist](n))
     val chunks = (0 until n by Chunk).map { from =>
       Future {
         val until = math.min(from + Chunk, n)
         var i = from
         while (i < until) {
           val lid = ids(i).getLong(0); val rid = ids(i).getLong(1)
-          val l = leftCols(lid); val r = rightCols(rid)
+          val l = lPos(lid); val r = rPos(rid)
           var c = 0
           while (c < m) {
-            cols(c)(i) = PairDist(lid, rid, vector(l(c), r(c), ctxs(c)))
+            val (lc, rc, idf) = coded(c)
+            cols(c)(i) = PairDist(lid, rid, vector(lc(l), rc(r), idf))
             c += 1
           }
           i += 1
@@ -159,6 +211,7 @@ object DistanceTable {
       ctx: FeatureContext,
   ): Array[PairDist] = {
     def oneCol(recs: Map[Long, Prepped]) = recs.map { case (id, p) => id -> Array(p) }
-    computeMulti(spark, pairs, oneCol(left), oneCol(right), Array(ctx))(0)
+    val l = oneCol(left)
+    computeMulti(spark, pairs, l, if (right eq left) l else oneCol(right), Array(ctx))(0)
   }
 }

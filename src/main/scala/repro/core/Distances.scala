@@ -103,20 +103,36 @@ object Distances {
     */
   final case class SetStats(wl: Double, wr: Double, wInter: Double, rSubsetL: Boolean)
 
+  /** [[SetStats]] of two sorted distinct token arrays under `w`: the tokens
+    * are numbered in string order and handed to [[setStatsIds]].
+    */
   def setStats(l: Array[String], r: Array[String], w: TokenWeights): SetStats = {
+    val dict = (l ++ r).distinct.sorted
+    val id = dict.iterator.zipWithIndex.toMap
+    setStatsIds(l.map(id), r.map(id), dict.map(w(_)))._2
+  }
+
+  /** The equal-weight and the weighted [[SetStats]] of two sorted distinct
+    * token-id arrays, from one merge pass; `weight(id)` is token `id`'s
+    * weight. Equal-weight sums are counts, so they are exact. Weighted sums
+    * add the left, right and common tokens' weights in ascending id order,
+    * which is string order when ids are numbered as the strings sort.
+    */
+  def setStatsIds(l: Array[Int], r: Array[Int], weight: Array[Double]): (SetStats, SetStats) = {
     var i = 0; var j = 0
+    var nInter = 0
     var wl = 0.0; var wr = 0.0; var wInter = 0.0
     var rSubset = true
     while (i < l.length && j < r.length) {
-      val c = l(i).compareTo(r(j))
-      if (c == 0) {
-        val tw = w(l(i)); wl += tw; wr += tw; wInter += tw; i += 1; j += 1
-      } else if (c < 0) { wl += w(l(i)); i += 1 }
-      else { wr += w(r(j)); rSubset = false; j += 1 }
+      val a = l(i); val b = r(j)
+      if (a == b) {
+        val tw = weight(a); wl += tw; wr += tw; wInter += tw; nInter += 1; i += 1; j += 1
+      } else if (a < b) { wl += weight(a); i += 1 }
+      else { wr += weight(b); rSubset = false; j += 1 }
     }
-    while (i < l.length) { wl += w(l(i)); i += 1 }
-    while (j < r.length) { wr += w(r(j)); rSubset = false; j += 1 }
-    SetStats(wl, wr, wInter, rSubset)
+    while (i < l.length) { wl += weight(l(i)); i += 1 }
+    while (j < r.length) { wr += weight(r(j)); rSubset = false; j += 1 }
+    (SetStats(l.length, r.length, nInter, rSubset), SetStats(wl, wr, wInter, rSubset))
   }
 
   /** Both-empty pairs are maximally distant (missing-value convention of

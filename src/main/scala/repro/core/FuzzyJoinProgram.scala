@@ -2,16 +2,18 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
+import scala.jdk.CollectionConverters._
 
 /** The explainable artifact AutoFJ produces: a disjunction of join
   * configurations plus the learned negative rules, applicable to fresh
   * (L, R) DataFrames.
   *
-  * Application re-runs blocking, drops rule-violating pairs, computes the
-  * surviving pairs' distance vectors on driver threads ([[DistanceTable]]),
-  * and joins each right record through the first configuration (in greedy
-  * selection order) that accepts it — matching the search's assign-once
-  * semantics.
+  * Application collects L and R once, blocks R against L (the L–R half of
+  * [[Blocking.block]], one probe job), drops rule-violating pairs, computes
+  * the surviving pairs' distance vectors on driver threads
+  * ([[DistanceTable]]), and joins each right record through the first
+  * configuration (in greedy selection order) that accepts it — matching the
+  * search's assign-once semantics. Three Spark jobs in all.
   */
 final case class FuzzyJoinProgram(
     configs: Vector[ConfigSpace.JoinConfig],
@@ -23,19 +25,21 @@ final case class FuzzyJoinProgram(
       (if (rules.isEmpty) "" else s"  [${rules.size} negative rules]")
 
   /** Execute the program: returns (rightId, leftId, distance, configIndex)
-    * with one row per joined right record.
+    * with one row per joined right record, as a local frame (collecting it
+    * runs no job).
     */
   def apply(spark: SparkSession, left: DataFrame, right: DataFrame, beta: Double = 1.0): DataFrame = {
-    import spark.implicits._
-    val (lrCand, _) = Blocking.block(spark, left, right, beta)
-    val lRecs = left.select("id", "text").as[(Long, String)].collect().toMap
-    val rRecs = right.select("id", "text").as[(Long, String)].collect().toMap
-    val lPrepped = lRecs.map { case (id, t) => id -> Prepped(t) }
-    val rPrepped = rRecs.map { case (id, t) => id -> Prepped(t) }
+    val lRecs = Blocking.records(left)
+    val lrCand = Blocking.blockRight(spark, lRecs, right, beta)
+    val lText = lRecs.toMap
+    val rText = Blocking.records(right).toMap
+    val lPrepped = lText.map { case (id, t) => id -> Prepped(t) }
+    val rPrepped = rText.map { case (id, t) => id -> Prepped(t) }
     val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
-    val keep = lrCand
-      .select("leftId", "rightId").as[(Long, Long)].collect()
-      .filterNot { case (l, r) => NegativeRules.violates(rules, lRecs(l), rRecs(r)) }
+    val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
+    val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
+    val keep = lrCand.collect().map(r => (r.getLong(0), r.getLong(1)))
+      .filterNot { case (l, r) => NegativeRules.violates(rules, lWords(l), rWords(r)) }
     val dists = DistanceTable.compute(
       spark, SingleColumnPipeline.toPairDF(spark, keep.toSeq), lPrepped, rPrepped, ctx)
 
@@ -48,18 +52,20 @@ final case class FuzzyJoinProgram(
         if (inRange.isEmpty) None
         else {
           val best = inRange.minBy(p => (p.d(c.fId), p.leftId))
-          Some((rid, best.leftId, best.d(c.fId).toDouble, ci))
+          Some(Row(rid, best.leftId, best.d(c.fId).toDouble, ci))
         }
       }.take(1)
     }.toSeq
 
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(out.map(t => Row(t._1, t._2, t._3, t._4)), 8),
-      StructType(Seq(
-        StructField("rightId", LongType, nullable = false),
-        StructField("leftId", LongType, nullable = false),
-        StructField("distance", DoubleType, nullable = false),
-        StructField("configIndex", IntegerType, nullable = false),
-      )))
+    spark.createDataFrame(out.asJava, FuzzyJoinProgram.OutSchema)
   }
+}
+
+object FuzzyJoinProgram {
+  private val OutSchema = StructType(Seq(
+    StructField("rightId", LongType, nullable = false),
+    StructField("leftId", LongType, nullable = false),
+    StructField("distance", DoubleType, nullable = false),
+    StructField("configIndex", IntegerType, nullable = false),
+  ))
 }

@@ -11,8 +11,10 @@ import repro.data.MultiTask
   * Blocking runs once on the concatenation of all columns; the per-column
   * distance tables of the L–R and of the L–L pairs each come from one
   * driver-side [[DistanceTable.computeMulti]] call and are aligned by pair
-  * index; candidate weight vectors are evaluated concurrently on the driver
-  * (the search is pure).
+  * index. [[run]] copies the selection's distances once into column-major
+  * [[SearchData.Tables]], which it drops when it returns, and blends them
+  * per candidate weight vector; candidate weight vectors are evaluated
+  * concurrently on the driver (the search is pure).
   */
 object MultiColumnAutoFJ {
 
@@ -85,10 +87,11 @@ object MultiColumnAutoFJ {
     implicit val ec: ExecutionContext = ExecutionContext.global
     val selFids = selectionFids.getOrElse(fids)
 
-    def runSearch(w: Array[Double]): AutoFJ.Result = {
-      val data = SearchData.fromColumns(prepared.lrCols, prepared.llCols, selFids, w)
-      AutoFJ.search(data, thetas, tau, gt, gtTotal)
-    }
+    // Every selection search reads the same pairs: extract their distances
+    // once and blend them per weight vector.
+    val tables = SearchData.Tables(prepared.lrCols, prepared.llCols, selFids, Array.fill(m)(true))
+    def runSearch(w: Array[Double]): AutoFJ.Result =
+      AutoFJ.search(tables.blend(w), thetas, tau, gt, gtTotal)
 
     var w = Array.fill(m)(0.0)
     var remaining = (0 until m).toSet

@@ -33,15 +33,23 @@ object NegativeRules {
 
   /** Learn rules from L–L candidate pairs (Lines 2–7). */
   def learn(llPairs: Iterable[(String, String)]): Set[Rule] =
-    llPairs.iterator.flatMap { case (l1, l2) =>
-      singletonDiff(wordSet(l1), wordSet(l2)).map { case (a, b) => Rule.of(a, b) }
+    learnWords(llPairs.iterator.map { case (l1, l2) => (wordSet(l1), wordSet(l2)) })
+
+  /** [[learn]] over the pairs' word sets, for callers that build each
+    * record's [[wordSet]] once.
+    */
+  def learnWords(llPairs: Iterator[(Set[String], Set[String])]): Set[Rule] =
+    llPairs.flatMap { case (w1, w2) =>
+      singletonDiff(w1, w2).map { case (a, b) => Rule.of(a, b) }
     }.toSet
 
   /** True if the (l, r) pair violates a learned rule (Lines 8–12): the pair
     * should be removed from the candidate set.
     */
   def violates(rules: Set[Rule], l: String, r: String): Boolean =
-    singletonDiff(wordSet(l), wordSet(r)).exists { case (a, b) =>
-      rules.contains(Rule.of(a, b))
-    }
+    violates(rules, wordSet(l), wordSet(r))
+
+  /** [[violates]] over the records' word sets. */
+  def violates(rules: Set[Rule], l: Set[String], r: Set[String]): Boolean =
+    singletonDiff(l, r).exists { case (a, b) => rules.contains(Rule.of(a, b)) }
 }

@@ -53,8 +53,11 @@ object SingleColumnPipeline {
     val lText = left.toMap
     val rText = right.toMap
 
-    // Negative rules: learned from L–L survivors, applied to L–R survivors.
-    val rules = NegativeRules.learn(llRows.iterator.map { case (a, b) => (lText(a), lText(b)) }.toSeq)
+    // Negative rules: learned from L–L survivors, applied to L–R survivors,
+    // over word sets built once per record.
+    val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
+    val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
+    val rules = NegativeRules.learnWords(llRows.iterator.map { case (a, b) => (lWords(a), lWords(b)) })
 
     val lPrepped = left.map { case (id, t) => id -> Prepped(t) }.toMap
     val rPrepped = right.map { case (id, t) => id -> Prepped(t) }.toMap
@@ -64,7 +67,7 @@ object SingleColumnPipeline {
     val llPairDf = toPairDF(spark, llRows)
     val lrAll = DistanceTable.compute(spark, lrPairDf, lPrepped, rPrepped, ctx)
     val llPairs = DistanceTable.compute(spark, llPairDf, lPrepped, lPrepped, ctx)
-    val lrFiltered = lrAll.filterNot(p => NegativeRules.violates(rules, lText(p.leftId), rText(p.rightId)))
+    val lrFiltered = lrAll.filterNot(p => NegativeRules.violates(rules, lWords(p.leftId), rWords(p.rightId)))
 
     Prepared(lText, rText, lPrepped, rPrepped, ctx, lrAll, lrFiltered, llPairs, rules,
              lrRows.map(t => (t._1, t._2) -> t._3).toMap)

@@ -180,4 +180,44 @@ class AutoFJSearchSpec extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, Pretty.pretty(res))
   }
+
+  /** rId → (lId, score) by brute force: each program config ⟨f, θ⟩ joins
+    * every r whose nearest l (ties: first dense index) is within θ, at
+    * precision 1 / (1 + #{l' : d_ll(l, l') ≤ (2θ).toFloat}); configs apply
+    * in program order and a later one replaces a join only when it is more
+    * confident.
+    */
+  private def bruteForce(d: SearchData, program: Vector[ConfigSpace.JoinConfig]): Map[Long, (Long, Double)] = {
+    val out = scala.collection.mutable.Map.empty[Long, (Long, Double)]
+    program.foreach { cfg =>
+      val s = d.fids.indexOf(cfg.fId)
+      (0 until d.nRight).foreach { r =>
+        val pairs = (0 until d.nLr).filter(d.lrRight(_) == r)
+        if (pairs.nonEmpty) {
+          val dMin = pairs.map(d.lrDist(s)(_)).min
+          if (dMin <= cfg.theta.toFloat) {
+            val l = pairs.filter(d.lrDist(s)(_) == dMin).map(d.lrLeft(_)).min
+            val ball = (0 until d.nLl).count(i => d.llLeft(i) == l && d.llDist(s)(i) <= (2.0 * cfg.theta).toFloat)
+            val p = 1.0 / (1 + ball)
+            val rid = d.rIds(r)
+            if (out.get(rid).forall(p > _._2)) out(rid) = (d.lIds(l), p)
+          }
+        }
+      }
+    }
+    out.toMap
+  }
+
+  test("random tables: every score is the brute-force 2θ-ball estimate of its join (ScalaCheck)") {
+    val thetas = Array(0.05, 0.1, 0.2, 0.3, 0.5)
+    val prop = Prop.forAll(smallData, Gen.oneOf(0.0, 0.57, 0.83)) { (d, tau) =>
+      Seq(AutoFJ.search(d, thetas, tau), AutoFJ.searchOneConfig(d, thetas, tau)).forall { res =>
+        val want = bruteForce(d, res.program)
+        res.assignment == want.map { case (r, (l, _)) => r -> l } &&
+          res.scores == want.map { case (r, (_, p)) => r -> p }
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
 }

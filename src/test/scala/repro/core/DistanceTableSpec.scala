@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.data.Benchmarks
 
@@ -170,5 +172,65 @@ class DistanceTableSpec extends SparkSpec {
     intercept[NoSuchElementException] {
       DistanceTable.computeMulti(spark, pairFrame(missing, 8), lCols, rCols, ctxs)
     }
+  }
+
+  /** Records with the given token sets per (P, T); every string is "x", so
+    * only the set slots differ between records.
+    */
+  private def tokRecord(toks: Array[Array[String]]): Prepped =
+    Prepped(Array.fill(ConfigSpace.NumPreproc)("x"), toks,
+      Array.fill(ConfigSpace.NumPreproc)(new Array[Float](repro.embed.HashEmbedding.Dim)))
+
+  private val NumPT = ConfigSpace.NumPreproc * ConfigSpace.NumTok
+
+  /** Sorted distinct token sets, possibly empty, over a pool whose string
+    * order differs from its length order.
+    */
+  private def tokSets(pool: Seq[String]): Gen[Array[Array[String]]] =
+    Gen.listOfN(NumPT, Gen.someOf(pool).map(_.toArray.sorted)).map(_.toArray)
+
+  test("every set slot of vector equals a Scala-set oracle, bit for bit (ScalaCheck)") {
+    val pool = Seq("a", "aa", "ab", "b", "ba", "bb", "c", "$$a", "z9", "Z", "é")
+    // The context sees only part of the pool, so some tokens are unseen.
+    val gen = for {
+      l <- tokSets(pool)
+      r <- tokSets(pool)
+      corpus <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, tokSets(pool.take(6))))
+    } yield (l, r, corpus)
+    val prop = Prop.forAll(gen) { case (lt, rt, corpus) =>
+      val ctx = FeatureContext.build(corpus.map(tokRecord))
+      val v = DistanceTable.vector(tokRecord(lt), tokRecord(rt), ctx)
+      val n = math.max(corpus.size, 1).toDouble
+      (for {
+        p <- 0 until ConfigSpace.NumPreproc
+        t <- 0 until ConfigSpace.NumTok
+        w <- 0 until ConfigSpace.NumWeight
+        d <- 0 until ConfigSpace.NumSetDist
+      } yield {
+        val pt = p * ConfigSpace.NumTok + t
+        val ls = lt(pt).toSet; val rs = rt(pt).toSet
+        def weight(tok: String): Double =
+          if (w == 0) 1.0
+          else {
+            val df = corpus.count(_(pt).contains(tok))
+            if (df == 0) math.log(n) + 1.0 else math.log(n / df) + 1.0
+          }
+        def sum(set: Set[String]): Double = set.toSeq.sorted.foldLeft(0.0)(_ + weight(_))
+        val stats = Distances.SetStats(sum(ls), sum(rs), sum(ls intersect rs), rs.subsetOf(ls))
+        val want = Distances.setDistance(d, stats).toFloat
+        val got = v(ConfigSpace.setId(p, t, w, d))
+        // The merge's sums themselves, before rounding to float hides
+        // a last-bit difference.
+        val merged = Distances.setStats(lt(pt), rt(pt), if (w == 0) TokenWeights.equal else ctx.idfs(pt))
+        def bits(x: Distances.SetStats) =
+          (Seq(x.wl, x.wr, x.wInter).map(java.lang.Double.doubleToRawLongBits), x.rSubsetL)
+        val label = ConfigSpace.decode(ConfigSpace.setId(p, t, w, d)).label
+        (Prop(java.lang.Float.floatToRawIntBits(got) == java.lang.Float.floatToRawIntBits(want)) :|
+          s"slot $label: $got vs $want") &&
+          (Prop(bits(merged) == bits(stats)) :| s"stats of $label: $merged vs $stats")
+      }).reduce(_ && _)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }

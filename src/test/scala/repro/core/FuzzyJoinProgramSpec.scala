@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -86,5 +88,64 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     assert(out.nonEmpty)
     assert(out.map(_._1).distinct.length == out.length, "each right record joins at most once")
     assert(!out.exists { case (r, l) => r == -2L || l == -1L }, "an empty text is at JD 1 from everything")
+  }
+
+  /** Spark jobs started by `body`, counted once the listener bus has
+    * delivered every event (its `waitUntilEmpty` is Spark-internal, hence
+    * reflection).
+    */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    def drain(): Unit = {
+      val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
+      bus.getClass.getMethod("waitUntilEmpty").invoke(bus)
+    }
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    drain()
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      drain()
+      (out, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("apply runs 3 Spark jobs and returns the rows of the block-then-assign steps on tiny") {
+    val task = Benchmarks.tiny()
+    val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
+    val res = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
+    assert(res.program.nonEmpty)
+    val prog = FuzzyJoinProgram(res.program, prepared.rules)
+    val left = SingleColumnPipeline.toDF(spark, task.left)
+    val right = SingleColumnPipeline.toDF(spark, task.right)
+    val (rows, jobs) = jobsOf(prog(spark, left, right).collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted.toSeq)
+    assert(jobs == 3, "collect L, collect R, probe R; the result frame is local")
+
+    // What apply computed before it probed R alone: full blocking, records
+    // and rules by string, then the first config in program order wins.
+    val (lrCand, _) = Blocking.block(spark, left, right)
+    val lText = task.left.toMap; val rText = task.right.toMap
+    val keep = lrCand.collect().map(r => (r.getLong(0), r.getLong(1)))
+      .filterNot { case (l, r) => NegativeRules.violates(prog.rules, lText(l), rText(r)) }
+    val lp = lText.map { case (id, t) => id -> Prepped(t) }
+    val rp = rText.map { case (id, t) => id -> Prepped(t) }
+    val dists = DistanceTable.compute(spark, SingleColumnPipeline.toPairDF(spark, keep.toSeq), lp, rp,
+      FeatureContext.build(lp.values ++ rp.values))
+    val want = dists.groupBy(_.rightId).iterator.flatMap { case (rid, pairs) =>
+      prog.configs.zipWithIndex.iterator.flatMap { case (c, ci) =>
+        val inRange = pairs.filter(_.d(c.fId) <= c.theta)
+        if (inRange.isEmpty) None
+        else {
+          val best = inRange.minBy(p => (p.d(c.fId), p.leftId))
+          Some((rid, best.leftId, best.d(c.fId).toDouble, ci))
+        }
+      }.take(1)
+    }.toSeq.sorted
+    assert(want.nonEmpty)
+    assert(rows == want)
   }
 }
