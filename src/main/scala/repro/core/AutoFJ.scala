@@ -6,10 +6,9 @@ import repro.core.ConfigSpace.JoinConfig
   * with label-free precision estimation via the 2d-ball rule (Eq. 8–13).
   *
   * The search runs on the driver over the candidate-pair distance tables
-  * ([[SearchData]]). Upstream, blocking runs as one Spark job and the
-  * per-pair distances are computed on driver threads
-  * ([[DistanceTable]]); [[FuzzyJoinProgram.apply]] reuses both to apply the
-  * learned program.
+  * ([[SearchData]]). Upstream, blocking ([[Blocking]]) and the per-pair
+  * distances ([[DistanceTable]]) run on driver threads too;
+  * [[FuzzyJoinProgram.apply]] reuses both to apply the learned program.
   */
 object AutoFJ {
 
@@ -73,12 +72,29 @@ object AutoFJ {
       }
     }
 
-    /** r's with a candidate, ascending by bestD — the set joined by
-      * ⟨f, θ⟩ is a prefix of this order.
+    /** r's with a candidate, ascending by bestD (as `Float.compare`), ties
+      * by ascending r — the set joined by ⟨f, θ⟩ is a prefix of this order.
+      * Sorted as primitive longs: bestD's sortable bits above r.
       */
     val rOrder: Array[Array[Int]] = Array.tabulate(nF) { f =>
-      val rs = (0 until nR).filter(bestL(f)(_) >= 0).toArray
-      rs.sortBy(bestD(f)(_))
+      val bl = bestL(f); val bd = bestD(f)
+      val keys = new Array[Long](nR)
+      var n = 0
+      var r = 0
+      while (r < nR) {
+        if (bl(r) >= 0) {
+          val bits = java.lang.Float.floatToIntBits(bd(r))
+          // Flip the magnitude of negatives so signed int order is Float.compare's.
+          keys(n) = (bits ^ ((bits >> 31) & 0x7fffffff)).toLong << 32 | r
+          n += 1
+        }
+        r += 1
+      }
+      java.util.Arrays.sort(keys, 0, n)
+      val order = new Array[Int](n)
+      var i = 0
+      while (i < n) { order(i) = keys(i).toInt; i += 1 }
+      order
     }
 
     val ballOff: Array[Int] = {
@@ -148,7 +164,10 @@ object AutoFJ {
           while (len < order.length && bestD(f)(order(len)) <= th) len += 1
           if (len > prev) {
             val twoTheta = 2.0 * thetas(k)
-            out += Cand(f, k, Array.tabulate(len)(i => 1.0 / ballCount(f, bestL(f)(order(i)), twoTheta)))
+            val p = new Array[Double](len)
+            var i = 0
+            while (i < len) { p(i) = 1.0 / ballCount(f, bestL(f)(order(i)), twoTheta); i += 1 }
+            out += Cand(f, k, p)
           }
           prev = len
           k += 1

@@ -4,9 +4,11 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
 import scala.collection.mutable
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 import scala.jdk.CollectionConverters._
 
-/** Default blocking of §3.2: a broadcast inverted index probed in one job.
+/** Default blocking of §3.2: an inverted index over L, probed on the driver.
   *
   * Records are 3-gram tokenized and tokens weighted by IDF over the
   * reference table L (the "TF-IDF weighting schema" — tokens are distinct
@@ -15,24 +17,31 @@ import scala.jdk.CollectionConverters._
   * probe record keeps its top `k = ⌈β·√|L|⌉` left candidates by
   * (blockSim desc, leftId asc).
   *
-  * L is collected once; its inverted index (token → L records) and weights
-  * are built on the driver and broadcast. One `mapPartitions` job then
-  * probes every record of R ∪ L against the index — the inverted-index
-  * "SSJoin" of Chaudhuri, Ganti and Kaushik (ICDE 2006) with the reference
-  * side broadcast, so nothing is shuffled. An L probe keeps k + 1 candidates
-  * and then drops its identity pair (l, l), which ranks first unless an
-  * L record with a smaller id ties it.
+  * The inverted index (token → L records) and its weights are built once,
+  * and every record of R ∪ L probes it — the inverted-index "SSJoin" of
+  * Chaudhuri, Ganti and Kaushik (ICDE 2006) with the reference side in
+  * memory. L holds at most a few thousand short records, so the probe runs
+  * on driver threads, in chunks of records on the global execution context;
+  * no Spark job is involved. An L probe keeps k + 1 candidates and then drops
+  * its identity pair (l, l), which ranks first unless an L record with a
+  * smaller id ties it.
   *
   * A probe adds its common tokens' weights in sorted-token order, so pairs
   * with the same common tokens tie bit-for-bit and leftId decides between
-  * them; the result does not depend on how the inputs are partitioned.
-  * Candidates come back as local DataFrames, rows ordered by (rightId,
-  * rank), so collecting them runs no further job.
+  * them. Candidates come back as (leftId, rightId, blockSim) rows ordered by
+  * (probe id, rank), whatever the order of the input records.
   *
-  * Input frames must have columns (id: Long, text: String), with ids unique
-  * within a frame.
+  * Record ids must be unique within a table. The DataFrame entry points
+  * take frames with columns (id: Long, text: String) and collect them
+  * first.
   */
 object Blocking {
+
+  /** One candidate pair: (leftId, rightId, blockSim). */
+  type Candidate = (Long, Long, Double)
+
+  /** Probe records per task on the execution context. */
+  private[core] val Chunk = 64
 
   /** ⌈β·√|L|⌉ — the number of left candidates kept per record. */
   def topK(nLeft: Long, beta: Double = 1.0): Int =
@@ -49,7 +58,7 @@ object Blocking {
   /** Index `left`'s records under `idf`, or under ln(|L|/df) + 1 over `left`
     * itself. Tokens without a weight are left out.
     */
-  private def index(left: Array[(Long, String)], idf: Option[Map[String, Double]] = None): Index = {
+  private def index(left: Seq[(Long, String)], idf: Option[Map[String, Double]] = None): Index = {
     val sorted = left.sortBy(_._1)
     val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
     sorted.iterator.zipWithIndex.foreach { case ((_, text), pos) =>
@@ -61,7 +70,7 @@ object Blocking {
       // StrictMath, as Spark's `log` evaluates it.
       idf.fold(Option(StrictMath.log(n / post.length) + 1.0))(_.get(t)).map(w => t -> (w, post))
     }.toMap
-    Index(sorted.map(_._1), postings)
+    Index(sorted.map(_._1).toArray, postings)
   }
 
   /** Per-thread scratch space for probing one index. */
@@ -108,48 +117,72 @@ object Blocking {
     }
   }
 
+  /** Each probe record's top-`k` candidates in `index`, in (probe id, rank)
+    * order. A `self` probe (an L record probing its own index) keeps its
+    * top-(k+1) and drops the identity pair. Chunks of probes run
+    * concurrently, one [[Prober]] each, and their rows are concatenated in
+    * chunk order.
+    */
+  private def probe(index: Index, probes: Seq[(Long, String)], k: Int, self: Boolean): Array[Candidate] = {
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val sorted = probes.sortBy(_._1).toArray
+    val kk = if (self) k + 1 else k
+    val chunks = (0 until sorted.length by Chunk).map { from =>
+      Future {
+        val prober = new Prober(index)
+        val out = Array.newBuilder[Candidate]
+        var i = from
+        while (i < math.min(from + Chunk, sorted.length)) {
+          val (id, text) = sorted(i)
+          prober.best(text, kk).foreach { case (lid, sim) => if (!self || lid != id) out += ((lid, id, sim)) }
+          i += 1
+        }
+        out.result()
+      }
+    }
+    Await.result(Future.sequence(chunks), Duration.Inf).toArray.flatten
+  }
+
+  /** Candidate pairs for both the L–R join and the L–L self-join, from one
+    * index over L. Self pairs exclude the identity (l, l).
+    */
+  def block(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], beta: Double)
+      : (Array[Candidate], Array[Candidate]) = {
+    val idx = index(lRecs)
+    val k = topK(lRecs.length, beta)
+    (probe(idx, rRecs, k, self = false), probe(idx, lRecs, k, self = true))
+  }
+
+  /** The L–R half of [[block]]: the same index over L, probed by R only. */
+  def leftRight(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], beta: Double): Array[Candidate] =
+    probe(index(lRecs), rRecs, topK(lRecs.length, beta), self = false)
+
+  /** The (id, text) rows of two record frames, collected in one job over
+    * their tagged union.
+    */
+  private[core] def records(left: DataFrame, right: DataFrame): (Seq[(Long, String)], Seq[(Long, String)]) = {
+    def tagged(df: DataFrame, isLeft: Boolean) = df.select(lit(isLeft), col("id"), col("text"))
+    val (l, r) = tagged(left, isLeft = true).union(tagged(right, isLeft = false)).collect().partition(_.getBoolean(0))
+    def recs(rows: Array[Row]) = rows.toSeq.map(row => (row.getLong(1), row.getString(2)))
+    (recs(l), recs(r))
+  }
+
   private val CandidateSchema = StructType(Seq(
     StructField("leftId", LongType, nullable = false),
     StructField("rightId", LongType, nullable = false),
     StructField("blockSim", DoubleType, nullable = false),
   ))
 
-  /** The (id, text) rows of a record frame, collected (one job). */
-  private[core] def records(df: DataFrame): Array[(Long, String)] =
-    df.select("id", "text").collect().map(r => (r.getLong(0), r.getString(1)))
-
-  private def probeRows(df: DataFrame, self: Boolean): DataFrame =
-    df.select(lit(self).as("self"), col("id"), col("text"))
-
-  /** The probe job over (self, id, text) rows. A right record keeps its
-    * top-`k` candidates; a `self` record (an L record probing its own
-    * index) keeps its top-(k+1) and drops the identity pair. Returns the
-    * (L–R, L–L) candidates as local frames.
-    */
-  private def probe(spark: SparkSession, index: Index, probes: DataFrame, k: Int): (DataFrame, DataFrame) = {
-    val bIndex = spark.sparkContext.broadcast(index)
-    val hits = try {
-      probes.rdd.mapPartitions { it =>
-        val prober = new Prober(bIndex.value)
-        it.flatMap { row =>
-          val isSelf = row.getBoolean(0); val id = row.getLong(1)
-          prober.best(row.getString(2), if (isSelf) k + 1 else k).iterator
-            .collect { case (lid, sim) if !isSelf || lid != id => (isSelf, lid, id, sim) }
-        }
-      }.collect()
-    } finally bIndex.destroy()
-    // Stable sort: one probe's rows stay in rank order.
-    def frame(isSelf: Boolean): DataFrame = spark.createDataFrame(
-      hits.filter(_._1 == isSelf).sortBy(_._3).map(h => Row(h._2, h._3, h._4)).toSeq.asJava,
-      CandidateSchema)
-    (frame(isSelf = false), frame(isSelf = true))
-  }
+  /** Candidates as a local frame: collecting it runs no job. */
+  private def frame(spark: SparkSession, rows: Array[Candidate]): DataFrame =
+    spark.createDataFrame(rows.map { case (l, r, s) => Row(l, r, s) }.toSeq.asJava, CandidateSchema)
 
   /** IDF weights ln(|L|/df) + 1 over the reference table's tokens, as a
     * local (token, weight) frame.
     */
   def idfOverLeft(left: DataFrame): DataFrame = {
-    val rows = index(records(left)).postings.iterator.map { case (t, (w, _)) => Row(t, w) }.toSeq
+    val lRecs = left.select("id", "text").collect().toSeq.map(r => (r.getLong(0), r.getString(1)))
+    val rows = index(lRecs).postings.iterator.map { case (t, (w, _)) => Row(t, w) }.toSeq
     left.sparkSession.createDataFrame(rows.asJava,
       StructType(Seq(StructField("token", StringType, nullable = false),
                      StructField("weight", DoubleType, nullable = false))))
@@ -160,11 +193,12 @@ object Blocking {
     */
   def candidates(left: DataFrame, right: DataFrame, k: Int, idf: DataFrame): DataFrame = {
     val weights = idf.collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-    probe(left.sparkSession, index(records(left), Some(weights)), probeRows(right, self = false), k)._1
+    val (lRecs, rRecs) = records(left, right)
+    frame(left.sparkSession, probe(index(lRecs, Some(weights)), rRecs, k, self = false))
   }
 
-  /** Candidate pairs for both the L–R join and the L–L self-join, from one
-    * index over L and one probe job. Self pairs exclude the identity (l, l).
+  /** [[block]] over record frames: both are collected in one job, and the
+    * candidates come back as local frames.
     */
   def block(
       spark: SparkSession,
@@ -172,15 +206,8 @@ object Blocking {
       right: DataFrame,
       beta: Double = 1.0,
   ): (DataFrame, DataFrame) = {
-    val lRecs = records(left)
-    probe(spark, index(lRecs), probeRows(right, self = false).union(probeRows(left, self = true)),
-          topK(lRecs.length, beta))
+    val (lRecs, rRecs) = records(left, right)
+    val (lr, ll) = block(lRecs, rRecs, beta)
+    (frame(spark, lr), frame(spark, ll))
   }
-
-  /** The L–R half of [[block]] for L records already on the driver: the same
-    * index over `lRecs`, probed by `right`'s records only, in one job.
-    */
-  def blockRight(spark: SparkSession, lRecs: Array[(Long, String)], right: DataFrame, beta: Double = 1.0)
-      : DataFrame =
-    probe(spark, index(lRecs), probeRows(right, self = false), topK(lRecs.length, beta))._1
 }

@@ -55,10 +55,11 @@ object FeatureContext {
 final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
 
 /** Computes the per-pair distance vectors for a set of candidate pairs on
-  * the driver. The (leftId, rightId) rows of the candidate frame from
-  * blocking are read once, and the vectors are computed over them in chunks
-  * on the global execution context. The search reads every distance on the
-  * driver, so a Spark job here would only add serialization and scheduling.
+  * the driver: the vectors of the (leftId, rightId) pairs from blocking are
+  * computed in chunks on the global execution context. The search reads
+  * every distance on the driver, so a Spark job here would only add
+  * serialization and scheduling. The DataFrame entry points read the pairs
+  * of a frame and delegate.
   *
   * Each column's records are coded once before the pairs are read: per
   * (P, T), every token becomes an id into a dictionary of the column's
@@ -67,9 +68,9 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   * the IDF set statistics together ([[Distances.setStatsIds]]), with the same
   * sums, in the same order, as merging the token strings.
   *
-  * Order contract: row `i` of every returned table is the `i`-th row of
-  * `pairs.collect()`, so the tables of all columns are index-aligned and
-  * keep the order of their input pairs.
+  * Order contract: row `i` of every returned table is the `i`-th input
+  * pair (for a frame, the `i`-th row of `pairs.collect()`), so the tables of
+  * all columns are index-aligned and keep the order of their input pairs.
   */
 object DistanceTable {
 
@@ -146,19 +147,17 @@ object DistanceTable {
     out
   }
 
-  /** Distance vectors of every column for every (leftId, rightId) row of
-    * `pairs`: one [[PairDist]] table per column, all in input pair order.
-    * An id missing from the record maps throws `NoSuchElementException`.
+  /** Distance vectors of every column for every (leftId, rightId) pair:
+    * one [[PairDist]] table per column, all in input pair order. An id
+    * missing from the record maps throws `NoSuchElementException`.
     */
   def computeMulti(
-      spark: SparkSession,
-      pairs: DataFrame,
+      pairs: Array[(Long, Long)],
       leftCols: Map[Long, Array[Prepped]],
       rightCols: Map[Long, Array[Prepped]],
       ctxs: Array[FeatureContext],
   ): Array[Array[PairDist]] = {
-    val ids = pairs.select("leftId", "rightId").collect()
-    val n = ids.length
+    val n = pairs.length
     val m = ctxs.length
     implicit val ec: ExecutionContext = ExecutionContext.global
     // L–L tables pass the same map on both sides: code its records once.
@@ -184,7 +183,7 @@ object DistanceTable {
         val until = math.min(from + Chunk, n)
         var i = from
         while (i < until) {
-          val lid = ids(i).getLong(0); val rid = ids(i).getLong(1)
+          val (lid, rid) = pairs(i)
           val l = lPos(lid); val r = rPos(rid)
           var c = 0
           while (c < m) {
@@ -201,17 +200,39 @@ object DistanceTable {
   }
 
   /** Single-column [[computeMulti]]: distance vectors for every
-    * (leftId, rightId) row of `pairs`, in input pair order.
+    * (leftId, rightId) pair, in input pair order.
     */
   def compute(
-      spark: SparkSession,
-      pairs: DataFrame,
+      pairs: Array[(Long, Long)],
       left: Map[Long, Prepped],
       right: Map[Long, Prepped],
       ctx: FeatureContext,
   ): Array[PairDist] = {
     def oneCol(recs: Map[Long, Prepped]) = recs.map { case (id, p) => id -> Array(p) }
     val l = oneCol(left)
-    computeMulti(spark, pairs, l, if (right eq left) l else oneCol(right), Array(ctx))(0)
+    computeMulti(pairs, l, if (right eq left) l else oneCol(right), Array(ctx))(0)
   }
+
+  private def pairsOf(df: DataFrame): Array[(Long, Long)] =
+    df.select("leftId", "rightId").collect().map(r => (r.getLong(0), r.getLong(1)))
+
+  /** [[computeMulti]] over the (leftId, rightId) rows of a pair frame. */
+  def computeMulti(
+      spark: SparkSession,
+      pairs: DataFrame,
+      leftCols: Map[Long, Array[Prepped]],
+      rightCols: Map[Long, Array[Prepped]],
+      ctxs: Array[FeatureContext],
+  ): Array[Array[PairDist]] =
+    computeMulti(pairsOf(pairs), leftCols, rightCols, ctxs)
+
+  /** [[compute]] over the (leftId, rightId) rows of a pair frame. */
+  def compute(
+      spark: SparkSession,
+      pairs: DataFrame,
+      left: Map[Long, Prepped],
+      right: Map[Long, Prepped],
+      ctx: FeatureContext,
+  ): Array[PairDist] =
+    compute(pairsOf(pairs), left, right, ctx)
 }

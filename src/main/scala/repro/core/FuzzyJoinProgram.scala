@@ -8,12 +8,12 @@ import scala.jdk.CollectionConverters._
   * configurations plus the learned negative rules, applicable to fresh
   * (L, R) DataFrames.
   *
-  * Application collects L and R once, blocks R against L (the L–R half of
-  * [[Blocking.block]], one probe job), drops rule-violating pairs, computes
-  * the surviving pairs' distance vectors on driver threads
-  * ([[DistanceTable]]), and joins each right record through the first
-  * configuration (in greedy selection order) that accepts it — matching the
-  * search's assign-once semantics. Three Spark jobs in all.
+  * Application collects L and R in one Spark job, then works on the driver:
+  * it probes R against L's blocking index ([[Blocking.leftRight]], the L–R
+  * half of [[Blocking.block]]), drops rule-violating pairs, computes the
+  * surviving pairs' distance vectors ([[DistanceTable]]), and joins each
+  * right record through the first configuration (in greedy selection order)
+  * that accepts it — matching the search's assign-once semantics.
   */
 final case class FuzzyJoinProgram(
     configs: Vector[ConfigSpace.JoinConfig],
@@ -29,19 +29,18 @@ final case class FuzzyJoinProgram(
     * runs no job).
     */
   def apply(spark: SparkSession, left: DataFrame, right: DataFrame, beta: Double = 1.0): DataFrame = {
-    val lRecs = Blocking.records(left)
-    val lrCand = Blocking.blockRight(spark, lRecs, right, beta)
+    val (lRecs, rRecs) = Blocking.records(left, right)
+    val lrCand = Blocking.leftRight(lRecs, rRecs, beta)
     val lText = lRecs.toMap
-    val rText = Blocking.records(right).toMap
+    val rText = rRecs.toMap
     val lPrepped = lText.map { case (id, t) => id -> Prepped(t) }
     val rPrepped = rText.map { case (id, t) => id -> Prepped(t) }
     val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
     val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
     val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
-    val keep = lrCand.collect().map(r => (r.getLong(0), r.getLong(1)))
+    val keep = lrCand.map(t => (t._1, t._2))
       .filterNot { case (l, r) => NegativeRules.violates(rules, lWords(l), rWords(r)) }
-    val dists = DistanceTable.compute(
-      spark, SingleColumnPipeline.toPairDF(spark, keep.toSeq), lPrepped, rPrepped, ctx)
+    val dists = DistanceTable.compute(keep, lPrepped, rPrepped, ctx)
 
     // First config (greedy order) that joins each r wins; within a config
     // each r joins its closest l (Eq. 1).

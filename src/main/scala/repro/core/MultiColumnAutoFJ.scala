@@ -8,7 +8,8 @@ import repro.data.MultiTask
 /** §4: multi-column AutoFJ — Algorithm 3 (forward selection over columns
   * with linear weight blending) on top of the single-column greedy search.
   *
-  * Blocking runs once on the concatenation of all columns; the per-column
+  * Everything runs on the driver, with no Spark job. Blocking runs once on
+  * the concatenation of all columns ([[Blocking.block]]); the per-column
   * distance tables of the L–R and of the L–L pairs each come from one
   * driver-side [[DistanceTable.computeMulti]] call and are aligned by pair
   * index. [[run]] copies the selection's distances once into column-major
@@ -32,29 +33,23 @@ object MultiColumnAutoFJ {
   )
 
   /** Block on concatenated columns and compute one aligned distance table
-    * per column.
+    * per column. Runs no Spark job; `spark` is not read.
     */
   def prepare(spark: SparkSession, task: MultiTask, beta: Double = 1.0): PreparedMulti = {
     val m = task.nCols
     val lConcat = task.left.map { case (id, v) => (id, v.mkString(" ")) }
     val rConcat = task.right.map { case (id, v) => (id, v.mkString(" ")) }
-    val dfL = SingleColumnPipeline.toDF(spark, lConcat)
-    val dfR = SingleColumnPipeline.toDF(spark, rConcat)
-    val (lrCand, llCand) = Blocking.block(spark, dfL, dfR, beta)
+    val (lrCand, llCand) = Blocking.block(lConcat, rConcat, beta)
     // Sorted pairs; every column's distance table keeps this order.
-    val lrPairs = lrCand.select("leftId", "rightId").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-    val llPairs = llCand.select("leftId", "rightId").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-    val lrDf = SingleColumnPipeline.toPairDF(spark, lrPairs)
-    val llDf = SingleColumnPipeline.toPairDF(spark, llPairs)
+    val lrPairs = lrCand.map(t => (t._1, t._2)).sorted
+    val llPairs = llCand.map(t => (t._1, t._2)).sorted
 
     val lPrepped = task.left.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
     val rPrepped = task.right.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
     val ctxs = Array.tabulate(m)(c =>
       FeatureContext.build(lPrepped.values.map(_(c)) ++ rPrepped.values.map(_(c))))
-    val lrCols = DistanceTable.computeMulti(spark, lrDf, lPrepped, rPrepped, ctxs)
-    val llCols = DistanceTable.computeMulti(spark, llDf, lPrepped, lPrepped, ctxs)
+    val lrCols = DistanceTable.computeMulti(lrPairs, lPrepped, rPrepped, ctxs)
+    val llCols = DistanceTable.computeMulti(llPairs, lPrepped, lPrepped, ctxs)
     PreparedMulti(task.columns, lrCols, llCols)
   }
 

@@ -4,8 +4,9 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import scala.jdk.CollectionConverters._
 
-/** End-to-end single-column AutoFJ pipeline (§3): blocking (Spark),
-  * negative rules, distance tables and the greedy search (driver).
+/** End-to-end single-column AutoFJ pipeline (§3): blocking, negative
+  * rules, distance tables and the greedy search, all on the driver over the
+  * Scala records; learning runs no Spark job.
   */
 object SingleColumnPipeline {
 
@@ -38,17 +39,17 @@ object SingleColumnPipeline {
       spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8),
       recSchema)
 
+  /** Block (L, R), learn the negative rules and compute both distance
+    * tables. Runs no Spark job; `spark` is not read.
+    */
   def prepare(
       spark: SparkSession,
       left: Seq[(Long, String)],
       right: Seq[(Long, String)],
       beta: Double = 1.0,
   ): Prepared = {
-    val dfL = toDF(spark, left)
-    val dfR = toDF(spark, right)
-    val (lrCand, llCand) = Blocking.block(spark, dfL, dfR, beta)
-    val lrRows = lrCand.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-    val llRows = llCand.select("leftId", "rightId").collect().map(r => (r.getLong(0), r.getLong(1)))
+    val (lrRows, llCand) = Blocking.block(left, right, beta)
+    val llRows = llCand.map(t => (t._1, t._2))
 
     val lText = left.toMap
     val rText = right.toMap
@@ -63,10 +64,8 @@ object SingleColumnPipeline {
     val rPrepped = right.map { case (id, t) => id -> Prepped(t) }.toMap
     val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
 
-    val lrPairDf = toPairDF(spark, lrRows.map(t => (t._1, t._2)))
-    val llPairDf = toPairDF(spark, llRows)
-    val lrAll = DistanceTable.compute(spark, lrPairDf, lPrepped, rPrepped, ctx)
-    val llPairs = DistanceTable.compute(spark, llPairDf, lPrepped, lPrepped, ctx)
+    val lrAll = DistanceTable.compute(lrRows.map(t => (t._1, t._2)), lPrepped, rPrepped, ctx)
+    val llPairs = DistanceTable.compute(llRows, lPrepped, lPrepped, ctx)
     val lrFiltered = lrAll.filterNot(p => NegativeRules.violates(rules, lWords(p.leftId), rWords(p.rightId)))
 
     Prepared(lText, rText, lPrepped, rPrepped, ctx, lrAll, lrFiltered, llPairs, rules,

@@ -1,5 +1,7 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -14,6 +16,29 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Spark jobs started by `body`, counted once the listener bus has
+    * delivered every event (its `waitUntilEmpty` is Spark-internal, hence
+    * reflection).
+    */
+  protected def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    def drain(): Unit = {
+      val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
+      bus.getClass.getMethod("waitUntilEmpty").invoke(bus)
+    }
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    drain()
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      drain()
+      (out, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.data.Benchmarks
+import repro.data.{BenchmarkGen, Benchmarks}
 
 class BlockingSpec extends SparkSpec {
 
@@ -189,6 +189,43 @@ class BlockingSpec extends SparkSpec {
     Oracle.assertEquivalent(asStrings(lr), topK(k), "sims" -> sims(task.right))
     Oracle.assertEquivalent(asStrings(ll),
       s"SELECT * FROM (${topK(k + 1)}) WHERE leftId <> rightId", "sims" -> sims(task.left))
+  }
+
+  private def bits(rows: Array[Blocking.Candidate]): Seq[(Long, Long, Long)] =
+    rows.toSeq.map { case (l, r, sim) => (l, r, java.lang.Double.doubleToRawLongBits(sim)) }
+
+  private def suiteTask(name: String) = BenchmarkGen.generate(Benchmarks.singleColumn.find(_.name == name).get)
+
+  test("the local block equals the frame wrapper's rows, blockSim bits included") {
+    for (task <- Seq(Benchmarks.tiny(), suiteTask("Stadium"))) {
+      val (lr, ll) = Blocking.block(task.left, task.right, 1.0)
+      val (lrDf, llDf) = Blocking.block(spark,
+        SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+      def collected(df: DataFrame) = bits(df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))))
+      assert(lr.nonEmpty && ll.nonEmpty, task.name)
+      assert(bits(lr) == collected(lrDf), s"${task.name}: L-R")
+      assert(bits(ll) == collected(llDf), s"${task.name}: L-L")
+    }
+  }
+
+  test("the local block is ordered by (probe id, rank) whatever the input order, across probe chunks") {
+    val task = suiteTask("Hospital")
+    assert(task.right.size > 2 * Blocking.Chunk && task.left.size > 4 * Blocking.Chunk)
+    val (lr, ll) = Blocking.block(task.left, task.right, 1.0)
+    val (lrRev, llRev) = Blocking.block(task.left.reverse, task.right.reverse, 1.0)
+    assert(bits(lr) == bits(lrRev))
+    assert(bits(ll) == bits(llRev))
+    for (rows <- Seq(lr, ll)) {
+      val probeIds = rows.map(_._2)
+      assert(probeIds.toSeq == probeIds.sorted.toSeq, "rows are grouped by ascending probe id")
+      rows.groupBy(_._2).values.foreach { ps =>
+        assert(ps.toSeq.sliding(2).forall {
+          case Seq(a, b) => a._3 > b._3 || (a._3 == b._3 && a._1 < b._1)
+          case _ => true
+        }, "a probe's rows are in rank order")
+      }
+    }
+    assert(bits(Blocking.leftRight(task.left.reverse, task.right, 1.0)) == bits(lr))
   }
 
   test("block leaves no persisted RDD behind") {

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -90,30 +88,7 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     assert(!out.exists { case (r, l) => r == -2L || l == -1L }, "an empty text is at JD 1 from everything")
   }
 
-  /** Spark jobs started by `body`, counted once the listener bus has
-    * delivered every event (its `waitUntilEmpty` is Spark-internal, hence
-    * reflection).
-    */
-  private def jobsOf[A](body: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    def drain(): Unit = {
-      val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
-      bus.getClass.getMethod("waitUntilEmpty").invoke(bus)
-    }
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    drain()
-    sc.addSparkListener(listener)
-    try {
-      val out = body
-      drain()
-      (out, jobs.get)
-    } finally sc.removeSparkListener(listener)
-  }
-
-  test("apply runs 3 Spark jobs and returns the rows of the block-then-assign steps on tiny") {
+  test("apply runs 1 Spark job and returns the rows of the block-then-assign steps on tiny") {
     val task = Benchmarks.tiny()
     val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
     val res = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
@@ -123,7 +98,7 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     val right = SingleColumnPipeline.toDF(spark, task.right)
     val (rows, jobs) = jobsOf(prog(spark, left, right).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted.toSeq)
-    assert(jobs == 3, "collect L, collect R, probe R; the result frame is local")
+    assert(jobs == 1, "one collect of L and R; probe, distances and the result frame are local")
 
     // What apply computed before it probed R alone: full blocking, records
     // and rules by string, then the first config in program order wins.

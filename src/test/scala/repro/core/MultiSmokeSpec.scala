@@ -25,6 +25,15 @@ class MultiSmokeSpec extends SparkSpec {
     assert(r >= 0.3, s"recall $r too low")
   }
 
+  test("multi-column learning (prepare + run) runs no Spark job") {
+    val task = MultiColGen.generate(MultiColGen.specs.head.copy(
+      name = "FZ-jobs", nL = 60, nExtra = 15, nMatches = 15, nNonMatches = 20))
+    val (res, jobs) = jobsOf(MultiColumnAutoFJ.run(MultiColumnAutoFJ.prepare(spark, task), tau = 0.9,
+      selectionFids = Some(ConfigSpace.reduced24.toArray)))
+    assert(res.selected.nonEmpty)
+    assert(jobs == 0)
+  }
+
   test("random columns are never selected (Table 4b mechanism)") {
     val spec = MultiColGen.specs.head.copy(
       name = "FZ-rand", nL = 120, nExtra = 30, nMatches = 30, nNonMatches = 40)

@@ -9,6 +9,14 @@ class PipelineSpec extends SparkSpec {
   private lazy val task = Benchmarks.tiny(seed = 31)
   private lazy val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
 
+  test("learning (prepare + autoFJ) runs no Spark job") {
+    val tiny = Benchmarks.tiny()
+    val (res, jobs) =
+      jobsOf(SingleColumnPipeline.autoFJ(SingleColumnPipeline.prepare(spark, tiny.left, tiny.right), tau = 0.9))
+    assert(res.program.nonEmpty)
+    assert(jobs == 0)
+  }
+
   test("prepare computes distances for both pair tables") {
     assert(prepared.lrAll.nonEmpty && prepared.llPairs.nonEmpty)
     assert(prepared.lrAll.forall(_.d.length == ConfigSpace.Size))
