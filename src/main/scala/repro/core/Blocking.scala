@@ -14,7 +14,7 @@ import scala.jdk.CollectionConverters._
   * reference table L (the "TF-IDF weighting schema" — tokens are distinct
   * per record, so TF = 1): w(t) = ln(|L| / df(t)) + 1. A pair's candidate
   * similarity `blockSim` is the summed weight of its common tokens, and each
-  * probe record keeps its top `k = ⌈β·√|L|⌉` left candidates by
+  * probe record keeps its top `k = ⌈√|L|⌉` left candidates by
   * (blockSim desc, leftId asc).
   *
   * The inverted index (token → L records) and its weights are built once,
@@ -31,8 +31,8 @@ import scala.jdk.CollectionConverters._
   * them. Candidates come back as (leftId, rightId, blockSim) rows ordered by
   * (probe id, rank), whatever the order of the input records.
   *
-  * Record ids must be unique within a table. The DataFrame entry points
-  * take frames with columns (id: Long, text: String) and collect them
+  * Record ids must be unique within a table. The DataFrame entry point
+  * takes frames with columns (id: Long, text: String) and collects them
   * first.
   */
 object Blocking {
@@ -43,9 +43,8 @@ object Blocking {
   /** Probe records per task on the execution context. */
   private[core] val Chunk = 64
 
-  /** ⌈β·√|L|⌉ — the number of left candidates kept per record. */
-  def topK(nLeft: Long, beta: Double = 1.0): Int =
-    math.max(1, math.ceil(beta * math.sqrt(nLeft.toDouble)).toInt)
+  /** ⌈√|L|⌉ — the number of left candidates kept per record (§3.2). */
+  def topK(nLeft: Long): Int = math.max(1, math.ceil(math.sqrt(nLeft.toDouble)).toInt)
 
   private def tokenize(text: String): Array[String] =
     Tokenize.ngrams(Preprocess.lower(Option(text).getOrElse("")), 3)
@@ -55,20 +54,18 @@ object Blocking {
     */
   private final case class Index(ids: Array[Long], postings: Map[String, (Double, Array[Int])])
 
-  /** Index `left`'s records under `idf`, or under ln(|L|/df) + 1 over `left`
-    * itself. Tokens without a weight are left out.
-    */
-  private def index(left: Seq[(Long, String)], idf: Option[Map[String, Double]] = None): Index = {
+  /** Index `left`'s records under ln(|L|/df) + 1 over `left` itself. */
+  private def index(left: Seq[(Long, String)]): Index = {
     val sorted = left.sortBy(_._1)
     val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
     sorted.iterator.zipWithIndex.foreach { case ((_, text), pos) =>
       tokenize(text).foreach(t => lists.getOrElseUpdate(t, new mutable.ArrayBuilder.ofInt) += pos)
     }
     val n = sorted.length.toDouble
-    val postings = lists.iterator.flatMap { case (t, b) =>
+    val postings = lists.iterator.map { case (t, b) =>
       val post = b.result()
-      // StrictMath, as Spark's `log` evaluates it.
-      idf.fold(Option(StrictMath.log(n / post.length) + 1.0))(_.get(t)).map(w => t -> (w, post))
+      // StrictMath: the same bits on every JVM and platform.
+      t -> (StrictMath.log(n / post.length) + 1.0, post)
     }.toMap
     Index(sorted.map(_._1).toArray, postings)
   }
@@ -146,16 +143,15 @@ object Blocking {
   /** Candidate pairs for both the L–R join and the L–L self-join, from one
     * index over L. Self pairs exclude the identity (l, l).
     */
-  def block(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], beta: Double)
-      : (Array[Candidate], Array[Candidate]) = {
+  def block(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]): (Array[Candidate], Array[Candidate]) = {
     val idx = index(lRecs)
-    val k = topK(lRecs.length, beta)
+    val k = topK(lRecs.length)
     (probe(idx, rRecs, k, self = false), probe(idx, lRecs, k, self = true))
   }
 
   /** The L–R half of [[block]]: the same index over L, probed by R only. */
-  def leftRight(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], beta: Double): Array[Candidate] =
-    probe(index(lRecs), rRecs, topK(lRecs.length, beta), self = false)
+  def leftRight(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]): Array[Candidate] =
+    probe(index(lRecs), rRecs, topK(lRecs.length), self = false)
 
   /** The (id, text) rows of two record frames, collected in one job over
     * their tagged union.
@@ -177,37 +173,12 @@ object Blocking {
   private def frame(spark: SparkSession, rows: Array[Candidate]): DataFrame =
     spark.createDataFrame(rows.map { case (l, r, s) => Row(l, r, s) }.toSeq.asJava, CandidateSchema)
 
-  /** IDF weights ln(|L|/df) + 1 over the reference table's tokens, as a
-    * local (token, weight) frame.
-    */
-  def idfOverLeft(left: DataFrame): DataFrame = {
-    val lRecs = left.select("id", "text").collect().toSeq.map(r => (r.getLong(0), r.getString(1)))
-    val rows = index(lRecs).postings.iterator.map { case (t, (w, _)) => Row(t, w) }.toSeq
-    left.sparkSession.createDataFrame(rows.asJava,
-      StructType(Seq(StructField("token", StringType, nullable = false),
-                     StructField("weight", DoubleType, nullable = false))))
-  }
-
-  /** Top-k L candidates per right record under the given (token, weight)
-    * IDF frame: (leftId, rightId, blockSim).
-    */
-  def candidates(left: DataFrame, right: DataFrame, k: Int, idf: DataFrame): DataFrame = {
-    val weights = idf.collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-    val (lRecs, rRecs) = records(left, right)
-    frame(left.sparkSession, probe(index(lRecs, Some(weights)), rRecs, k, self = false))
-  }
-
   /** [[block]] over record frames: both are collected in one job, and the
     * candidates come back as local frames.
     */
-  def block(
-      spark: SparkSession,
-      left: DataFrame,
-      right: DataFrame,
-      beta: Double = 1.0,
-  ): (DataFrame, DataFrame) = {
+  def block(spark: SparkSession, left: DataFrame, right: DataFrame): (DataFrame, DataFrame) = {
     val (lRecs, rRecs) = records(left, right)
-    val (lr, ll) = block(lRecs, rRecs, beta)
+    val (lr, ll) = block(lRecs, rRecs)
     (frame(spark, lr), frame(spark, ll))
   }
 }

@@ -28,9 +28,9 @@ final case class FuzzyJoinProgram(
     * with one row per joined right record, as a local frame (collecting it
     * runs no job).
     */
-  def apply(spark: SparkSession, left: DataFrame, right: DataFrame, beta: Double = 1.0): DataFrame = {
+  def apply(spark: SparkSession, left: DataFrame, right: DataFrame): DataFrame = {
     val (lRecs, rRecs) = Blocking.records(left, right)
-    val lrCand = Blocking.leftRight(lRecs, rRecs, beta)
+    val lrCand = Blocking.leftRight(lRecs, rRecs)
     val lText = lRecs.toMap
     val rText = rRecs.toMap
     val lPrepped = lText.map { case (id, t) => id -> Prepped(t) }

@@ -35,11 +35,11 @@ object MultiColumnAutoFJ {
   /** Block on concatenated columns and compute one aligned distance table
     * per column. Runs no Spark job; `spark` is not read.
     */
-  def prepare(spark: SparkSession, task: MultiTask, beta: Double = 1.0): PreparedMulti = {
+  def prepare(spark: SparkSession, task: MultiTask): PreparedMulti = {
     val m = task.nCols
     val lConcat = task.left.map { case (id, v) => (id, v.mkString(" ")) }
     val rConcat = task.right.map { case (id, v) => (id, v.mkString(" ")) }
-    val (lrCand, llCand) = Blocking.block(lConcat, rConcat, beta)
+    val (lrCand, llCand) = Blocking.block(lConcat, rConcat)
     // Sorted pairs; every column's distance table keeps this order.
     val lrPairs = lrCand.map(t => (t._1, t._2)).sorted
     val llPairs = llCand.map(t => (t._1, t._2)).sorted

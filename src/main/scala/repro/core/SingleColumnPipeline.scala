@@ -46,9 +46,8 @@ object SingleColumnPipeline {
       spark: SparkSession,
       left: Seq[(Long, String)],
       right: Seq[(Long, String)],
-      beta: Double = 1.0,
   ): Prepared = {
-    val (lrRows, llCand) = Blocking.block(left, right, beta)
+    val (lrRows, llCand) = Blocking.block(left, right)
     val llRows = llCand.map(t => (t._1, t._2))
 
     val lText = left.toMap

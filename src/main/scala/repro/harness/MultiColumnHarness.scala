@@ -5,8 +5,7 @@ import repro.baselines._
 import repro.core._
 import repro.data.{MultiColGen, MultiTask}
 import repro.eval.Metrics
-import repro.eval.Metrics.Scored
-import SingleColumnHarness.{BaselineNames, MethodEval, Steps, Tau}
+import SingleColumnHarness._
 
 /** Shared evaluation harness for the multi-column tables (3, 4, 7). */
 object MultiColumnHarness {
@@ -31,88 +30,50 @@ object MultiColumnHarness {
       deltaAlAr: Double,
   )
 
-  /** AutoFJ multi-column quality on one task: (P, R, PR-AUC, selected,
-    * weights).
-    */
-  private def timed[A](label: String, taskName: String)(f: => A): A = {
-    val t0 = System.nanoTime()
-    val out = f
-    Console.err.println(f"[timing] $taskName $label ${(System.nanoTime() - t0) / 1e9}%.1fs")
-    out
-  }
-
-  private def runAutoFJ(
-      spark: SparkSession, task: MultiTask,
-  ): (Double, Double, Double, Vector[Int], Array[Double], MultiColumnAutoFJ.PreparedMulti) = {
+  /** Algorithm 3 on one task, selecting on the 24-function space. */
+  private def runAutoFJ(spark: SparkSession, task: MultiTask)
+      : (MultiColumnAutoFJ.PreparedMulti, MultiColumnAutoFJ.MultiResult) = {
     val prep = timed("prepare", task.name)(MultiColumnAutoFJ.prepare(spark, task))
     val res = timed("selection", task.name)(
       MultiColumnAutoFJ.run(prep, Tau, g = G, gt = task.gt, gtTotal = task.gtTotal,
         selectionFids = Some(ConfigSpace.reduced24.toArray)))
-    val (p, r) = Metrics.precisionRecall(res.result.assignment, task.gt, task.gtTotal)
-    // PR curve: unbounded run under the selected weights.
-    val auc = timed("prcurve", task.name) {
-      val data = SearchData.fromColumns(prep.lrCols, prep.llCols,
-        ConfigSpace.full.map(_.id).toArray, res.weights)
-      val unbounded = AutoFJ.search(data, ConfigSpace.thresholds(Steps), tau = 0.0)
-      Metrics.prAuc(
-        unbounded.scores.toVector.map { case (rid, s) => Scored(rid, unbounded.assignment(rid), s) },
-        task.gt, task.gtTotal)
-    }
-    (p, r, auc, res.selected, res.weights, prep)
+    (prep, res)
   }
 
   private def concat(vals: Seq[String]): String = vals.filter(_.nonEmpty).mkString(" ")
 
-  def evaluate(spark: SparkSession, task: MultiTask, verbose: Boolean = true): MultiEval = {
-    val t0 = System.nanoTime()
-    val (p, r, auc, selected, weights, prep) = runAutoFJ(spark, task)
-    val gt = task.gt; val gtTotal = task.gtTotal
-
-    // Shared candidate pairs (from concat-blocking) for every baseline.
+  /** The baselines' input on `task`: its concat-blocked candidate pairs
+    * with concatenated texts and per-column features, read at AutoFJ's
+    * precision `autoP`.
+    */
+  private def baselineInput(task: MultiTask, prep: MultiColumnAutoFJ.PreparedMulti, autoP: Double)
+      : BaselineInput = {
     val lVals = task.left.toMap
     val rVals = task.right.toMap
-    val pairs = prep.lrCols(0).map(pd =>
-      CandPair(pd.leftId, pd.rightId, concat(lVals(pd.leftId)), concat(rVals(pd.rightId)))).toVector
-    val featsMulti = timed("features", task.name)(prep.lrCols(0).map(pd =>
-      Features.vectorMulti(lVals(pd.leftId), rVals(pd.rightId))).toVector)
+    val ids = prep.lrCols(0).toVector.map(pd => (pd.leftId, pd.rightId))
+    val pairs = ids.map { case (l, r) => CandPair(l, r, concat(lVals(l)), concat(rVals(r))) }
+    val feats = timed("features", task.name)(ids.map { case (l, r) => Features.vectorMulti(lVals(l), rVals(r)) })
+    BaselineInput(task.name, pairs, feats,
+      task.left.map { case (id, v) => (id, concat(v)) }, task.right.map { case (id, v) => (id, concat(v)) },
+      task.gt, task.gtTotal, autoP)
+  }
 
-    def evalScored(s: Seq[Scored]): MethodEval =
-      MethodEval(Metrics.adjustedRecall(s, gt, gtTotal, p), Metrics.prAuc(s, gt, gtTotal))
+  def evaluate(spark: SparkSession, task: MultiTask, verbose: Boolean = true): MultiEval = {
+    val t0 = System.nanoTime()
+    val gt = task.gt; val gtTotal = task.gtTotal
+    val (prep, res) = runAutoFJ(spark, task)
+    val selected = res.selected
+    val (p, r) = Metrics.precisionRecall(res.result.assignment, gt, gtTotal)
+    // PR curve: unbounded run under the selected weights.
+    val auc = timed("prcurve", task.name)(autoFJPrAuc(
+      SearchData.fromColumns(prep.lrCols, prep.llCols, ConfigSpace.full.map(_.id).toArray, res.weights), gt, gtTotal))
+    val methods = evaluateBaselines(spark, baselineInput(task, prep, p))
 
-    val excel = timed("excel", task.name)(evalScored(ExcelFuzzy.run(pairs)))
-    val fw = timed("fw", task.name)(evalScored(FuzzyWuzzy.run(pairs)))
-    val zeroer = timed("zeroer", task.name)(evalScored(ZeroER.run(pairs, featsMulti)))
-    val ecm = timed("ecm", task.name)(evalScored(ECM.run(pairs, featsMulti)))
-    val pp = timed("ppjoin", task.name)(evalScored(PPJoin.run(spark,
-      task.left.map { case (id, v) => (id, concat(v)) },
-      task.right.map { case (id, v) => (id, concat(v)) })))
-
-    def supervised(model: String): MethodEval = {
-      val runs = SingleColumnHarness.SupervisedSeeds.map { seed =>
-        val sr = SupervisedML.runSplit(spark, pairs, featsMulti, gt, model, seed)
-        (Metrics.adjustedRecall(sr.scored, sr.testGt, sr.testGtTotal, p),
-         Metrics.prAuc(sr.scored, sr.testGt, sr.testGtTotal))
-      }
-      MethodEval(runs.map(_._1).sum / runs.size, runs.map(_._2).sum / runs.size)
-    }
-    val magellan = timed("rf", task.name)(supervised("rf"))
-    val dm = timed("mlp", task.name)(supervised("mlp"))
-    val alScored = timed("al", task.name)(ActiveLearning.run(pairs, featsMulti, gt))
-    val al = evalScored(alScored)
-
-    // ---- Table 4(b): robustness to random columns ----------------------
+    // ---- Table 4(b): robustness to random columns (same ground truth) ---
     val randTask = MultiColGen.addRandomColumns(task, 2, seed = task.name.hashCode.toLong)
-    val (rp, rr, _, _, _, randPrep) = runAutoFJ(spark, randTask)
-    val rPairs = randPrep.lrCols(0).map { pd =>
-      val lv = randTask.left.toMap; val rv = randTask.right.toMap
-      CandPair(pd.leftId, pd.rightId, concat(lv(pd.leftId)), concat(rv(pd.rightId)))
-    }.toVector
-    val rFeats = {
-      val lv = randTask.left.toMap; val rv = randTask.right.toMap
-      randPrep.lrCols(0).map(pd => Features.vectorMulti(lv(pd.leftId), rv(pd.rightId))).toVector
-    }
-    val randExcelAr = Metrics.adjustedRecall(ExcelFuzzy.run(rPairs), gt, gtTotal, p)
-    val randAlAr = Metrics.adjustedRecall(ActiveLearning.run(rPairs, rFeats, gt), gt, gtTotal, p)
+    val (randPrep, randRes) = runAutoFJ(spark, randTask)
+    val rr = Metrics.precisionRecall(randRes.result.assignment, gt, gtTotal)._2
+    val rand = evaluateBaselines(spark, baselineInput(randTask, randPrep, p), Set("Excel", "AL"))
 
     if (verbose) {
       val dt = (System.nanoTime() - t0) / 1e9
@@ -122,12 +83,8 @@ object MultiColumnHarness {
     }
 
     MultiEval(task.name, task.domain, task.nCols, task.left.size, task.right.size, gtTotal,
-      selected.map(task.columns),
-      selected.map(weights(_)).toVector,
-      p, r, auc,
-      Map("Excel" -> excel, "FW" -> fw, "ZeroER" -> zeroer, "ECM" -> ecm, "PP" -> pp,
-          "Magellan" -> magellan, "DM" -> dm, "AL" -> al),
-      rr - r, randExcelAr - excel.ar, randAlAr - al.ar)
+      selected.map(task.columns), selected.map(res.weights(_)), p, r, auc, methods,
+      rr - r, rand("Excel").ar - methods("Excel").ar, rand("AL").ar - methods("AL").ar)
   }
 }
 

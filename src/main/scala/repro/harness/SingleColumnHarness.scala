@@ -9,7 +9,9 @@ import repro.eval.Metrics.Scored
 
 /** Shared evaluation harness for the single-column tables (2, 5, 6):
   * runs AutoFJ (full + ablations + 24-config space) and every baseline on
-  * each task, producing the per-dataset rows the paper reports.
+  * each task, producing the per-dataset rows the paper reports. It also
+  * holds what the multi-column harness shares: τ, s, the baselines and the
+  * AutoFJ PR-AUC.
   */
 object SingleColumnHarness {
 
@@ -37,12 +39,77 @@ object SingleColumnHarness {
       methods: Map[String, MethodEval],
   )
 
-  val BaselineNames: Vector[String] =
-    Vector("Excel", "FW", "ZeroER", "ECM", "PP", "Magellan", "DM", "AL")
-
   val Tau = 0.9
   val Steps = 50
   val SupervisedSeeds: Seq[Long] = Seq(41, 42, 43)
+
+  /** What every baseline reads on one task: the blocked candidate pairs
+    * with their texts and feature vectors, PPJoin's own (L, R) records, the
+    * ground truth, and AutoFJ's precision `autoP`, at which adjusted recall
+    * is read.
+    */
+  final case class BaselineInput(
+      task: String,
+      pairs: Vector[CandPair],
+      feats: Vector[Array[Double]],
+      ppLeft: Seq[(Long, String)],
+      ppRight: Seq[(Long, String)],
+      gt: Map[Long, Long],
+      gtTotal: Int,
+      autoP: Double,
+  ) {
+    def eval(s: Seq[Scored]): MethodEval =
+      MethodEval(Metrics.adjustedRecall(s, gt, gtTotal, autoP), Metrics.prAuc(s, gt, gtTotal))
+
+    /** Mean AR and PR-AUC over the supervised seeds, each on its test half. */
+    def supervised(spark: SparkSession, model: String): MethodEval = {
+      val runs = SupervisedSeeds.map { seed =>
+        val sr = SupervisedML.runSplit(spark, pairs, feats, gt, model, seed)
+        (Metrics.adjustedRecall(sr.scored, sr.testGt, sr.testGtTotal, autoP),
+         Metrics.prAuc(sr.scored, sr.testGt, sr.testGtTotal))
+      }
+      MethodEval(runs.map(_._1).sum / runs.size, runs.map(_._2).sum / runs.size)
+    }
+  }
+
+  /** The baselines of Tables 2 and 4, in column order. */
+  private val Baselines: Vector[(String, (SparkSession, BaselineInput) => MethodEval)] = Vector(
+    ("Excel", (_, in) => in.eval(ExcelFuzzy.run(in.pairs))),
+    ("FW", (_, in) => in.eval(FuzzyWuzzy.run(in.pairs))),
+    ("ZeroER", (_, in) => in.eval(ZeroER.run(in.pairs, in.feats))),
+    ("ECM", (_, in) => in.eval(ECM.run(in.pairs, in.feats))),
+    ("PP", (spark, in) => in.eval(PPJoin.run(spark, in.ppLeft, in.ppRight))),
+    ("Magellan", (spark, in) => in.supervised(spark, "rf")),
+    ("DM", (spark, in) => in.supervised(spark, "mlp")),
+    ("AL", (_, in) => in.eval(ActiveLearning.run(in.pairs, in.feats, in.gt))),
+  )
+
+  val BaselineNames: Vector[String] = Baselines.map(_._1)
+
+  /** Runs the baselines in `names` (all by default) in [[BaselineNames]]
+    * order, logging each one's wall time.
+    */
+  def evaluateBaselines(spark: SparkSession, in: BaselineInput, names: Set[String] = BaselineNames.toSet)
+      : Map[String, MethodEval] =
+    Baselines.filter(b => names(b._1)).map { case (name, run) =>
+      name -> timed(name, in.task)(run(spark, in))
+    }.toMap
+
+  /** AutoFJ's PR-AUC: the unbounded search (τ = 0) over `data`, its joins
+    * ranked by their estimated precision.
+    */
+  def autoFJPrAuc(data: SearchData, gt: Map[Long, Long], gtTotal: Int): Double = {
+    val res = AutoFJ.search(data, ConfigSpace.thresholds(Steps), tau = 0.0)
+    Metrics.prAuc(res.scores.toVector.map { case (r, s) => Scored(r, res.assignment(r), s) }, gt, gtTotal)
+  }
+
+  /** `f`, with its wall time logged to stderr as `[timing] task label`. */
+  private[harness] def timed[A](label: String, task: String)(f: => A): A = {
+    val t0 = System.nanoTime()
+    val out = f
+    Console.err.println(f"[timing] $task $label ${(System.nanoTime() - t0) / 1e9}%.1fs")
+    out
+  }
 
   def evaluate(spark: SparkSession, spec: TaskSpec, verbose: Boolean = true): TaskEval = {
     val task = BenchmarkGen.generate(spec)
@@ -74,20 +141,14 @@ object SingleColumnHarness {
     val rercc = corrOrNa(main.trace.map(_.estTP), main.trace.map(_.actRecall))
 
     // ---- Unbounded run: per-pair confidence scores → AutoFJ PR curve ---
-    val unbounded = SingleColumnPipeline.autoFJ(prepared, tau = 0.0, gt = gt, gtTotal = gtTotal)
-    val autoScored = unbounded.scores.toVector.map { case (r, s) =>
-      Scored(r, unbounded.assignment(r), s)
-    }
-    val autoPrAuc = Metrics.prAuc(autoScored, gt, gtTotal)
+    val fullData = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullFids)
+    val autoPrAuc = autoFJPrAuc(fullData, gt, gtTotal)
 
     // ---- Ablations ------------------------------------------------------
     // AutoFJ-UC: the best single configuration (max estimated TP subject to
     // the precision target).
-    val ucR = {
-      val data = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullFids)
-      val res = AutoFJ.searchOneConfig(data, ConfigSpace.thresholds(Steps), Tau)
-      Metrics.precisionRecall(res.assignment, gt, gtTotal)._2
-    }
+    val ucR = Metrics.precisionRecall(
+      AutoFJ.searchOneConfig(fullData, ConfigSpace.thresholds(Steps), Tau).assignment, gt, gtTotal)._2
     // AutoFJ-NR: full greedy without negative rules.
     val nrRes = SingleColumnPipeline.autoFJ(prepared, Tau, negativeRules = false, gt = gt, gtTotal = gtTotal)
     val nrR = Metrics.precisionRecall(nrRes.assignment, gt, gtTotal)._2
@@ -96,9 +157,8 @@ object SingleColumnHarness {
     val r24 = SingleColumnPipeline.autoFJ(prepared, Tau, fids = ConfigSpace.reduced24.toArray,
       gt = gt, gtTotal = gtTotal)
     val (p24, rec24) = Metrics.precisionRecall(r24.assignment, gt, gtTotal)
-    val r24u = SingleColumnPipeline.autoFJ(prepared, tau = 0.0, fids = ConfigSpace.reduced24.toArray)
-    val auto24PrAuc = Metrics.prAuc(
-      r24u.scores.toVector.map { case (r, s) => Scored(r, r24u.assignment(r), s) }, gt, gtTotal)
+    val auto24PrAuc = autoFJPrAuc(
+      SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.reduced24.toArray), gt, gtTotal)
 
     // ---- UBR ------------------------------------------------------------
     val ubr = StaticBaselines.upperBoundRecall(prepared.lrAll, gt, gtTotal)
@@ -117,32 +177,8 @@ object SingleColumnHarness {
     // ---- Baselines -------------------------------------------------------
     val pairs = prepared.lrAll.map(p =>
       CandPair(p.leftId, p.rightId, prepared.lText(p.leftId), prepared.rText(p.rightId))).toVector
-    val feats = pairs.map(p => Features.vector(p.l, p.r))
-
-    def evalScored(s: Seq[Scored]): MethodEval =
-      MethodEval(Metrics.adjustedRecall(s, gt, gtTotal, autoP), Metrics.prAuc(s, gt, gtTotal))
-
-    val excel = evalScored(ExcelFuzzy.run(pairs))
-    val fw = evalScored(FuzzyWuzzy.run(pairs))
-    val zeroer = evalScored(ZeroER.run(pairs, feats))
-    val ecm = evalScored(ECM.run(pairs, feats))
-    val pp = evalScored(PPJoin.run(spark, task.left, task.right))
-
-    def supervised(model: String): MethodEval = {
-      val runs = SupervisedSeeds.map { seed =>
-        val sr = SupervisedML.runSplit(spark, pairs, feats, gt, model, seed)
-        (Metrics.adjustedRecall(sr.scored, sr.testGt, sr.testGtTotal, autoP),
-         Metrics.prAuc(sr.scored, sr.testGt, sr.testGtTotal))
-      }
-      MethodEval(runs.map(_._1).sum / runs.size, runs.map(_._2).sum / runs.size)
-    }
-    val magellan = supervised("rf")
-    val dm = supervised("mlp")
-    val al = evalScored(ActiveLearning.run(pairs, feats, gt))
-
-    val methods = Map(
-      "Excel" -> excel, "FW" -> fw, "ZeroER" -> zeroer, "ECM" -> ecm, "PP" -> pp,
-      "Magellan" -> magellan, "DM" -> dm, "AL" -> al)
+    val methods = evaluateBaselines(spark, BaselineInput(task.name, pairs, pairs.map(p => Features.vector(p.l, p.r)),
+      task.left, task.right, gt, gtTotal, autoP))
 
     if (verbose) {
       val dt = (System.nanoTime() - t0) / 1e9

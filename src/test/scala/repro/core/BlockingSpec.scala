@@ -22,18 +22,49 @@ class BlockingSpec extends SparkSpec {
   private def dfL = SingleColumnPipeline.toDF(spark, L)
   private def dfR = SingleColumnPipeline.toDF(spark, R)
 
-  test("topK is ceil(beta * sqrt(|L|))") {
+  test("topK is ceil(sqrt(|L|))") {
     assert(Blocking.topK(100) == 10)
-    assert(Blocking.topK(100, 1.5) == 15)
+    assert(Blocking.topK(5) == 3)
     assert(Blocking.topK(2) == 2)
     assert(Blocking.topK(1) == 1)
   }
 
-  test("candidates keeps at most k lefts per right record") {
-    val idf = Blocking.idfOverLeft(dfL)
-    val cand = Blocking.candidates(dfL, dfR, k = 2, idf)
-    val counts = cand.groupBy("rightId").count().collect().map(_.getLong(1))
-    assert(counts.forall(_ <= 2))
+  private def grams(t: String) = Tokenize.ngrams(Preprocess.lower(t), 3)
+
+  /** ln(|L|/df) + 1 over `left`'s 3-grams, as the index weighs them. */
+  private def idfOf(left: Seq[(Long, String)]): Map[String, Double] =
+    left.flatMap(t => grams(t._2)).groupBy(identity)
+      .map { case (tok, occ) => tok -> (StrictMath.log(left.size.toDouble / occ.size) + 1.0) }
+
+  /** Every (l, probe) pair sharing a token, with its sim summed in
+    * sorted-token order, as a probe sums it.
+    */
+  private def simsOf(left: Seq[(Long, String)], probes: Seq[(Long, String)]): Seq[(Long, Long, Double)] = {
+    val idf = idfOf(left)
+    val probeGrams = probes.map { case (pid, pt) => (pid, grams(pt)) }
+    for {
+      (lid, lt) <- left
+      lg = grams(lt)
+      (pid, pg) <- probeGrams
+      common = lg.intersect(pg) if common.nonEmpty
+    } yield (lid, pid, common.map(idf).sum)
+  }
+
+  /** (leftId, rightId, `simCol`) rows as a frame for the oracle. */
+  private def triples(rows: Seq[(Long, Long, Double)], simCol: String): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows.map { case (l, p, s) => Row(l, p, s) }, 4),
+      StructType(Seq(StructField("leftId", LongType), StructField("rightId", LongType),
+        StructField(simCol, DoubleType))))
+
+  test("block keeps at most k lefts per probe record") {
+    val task = Benchmarks.tiny()
+    val k = Blocking.topK(task.left.size)
+    val (lr, ll) = Blocking.block(task.left, task.right)
+    for (rows <- Seq(lr, ll)) {
+      val counts = rows.groupBy(_._2).values.map(_.length)
+      assert(counts.forall(_ <= k))
+      assert(counts.exists(_ == k), "some probe should fill its k slots")
+    }
   }
 
   test("the true counterpart survives blocking") {
@@ -57,76 +88,56 @@ class BlockingSpec extends SparkSpec {
   }
 
   test("blockSim is the IDF-weighted common-token weight (DuckDB oracle)") {
-    // Reproduce the inverted-index aggregation externally and let DuckDB
-    // arbitrate the join+groupBy+sum semantics.
-    val idfMap = Blocking.idfOverLeft(dfL).collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
+    // Re-aggregate each returned pair's common-token weights externally and
+    // let DuckDB arbitrate the join+groupBy+sum semantics.
+    val idf = idfOf(L)
     def posting(recs: Seq[(Long, String)], idCol: String) = {
-      val rows = recs.flatMap { case (id, t) =>
-        Tokenize.ngrams(Preprocess.lower(t), 3).flatMap(tok =>
-          idfMap.get(tok).map(w => Row(id, tok, w)))
-      }
+      val rows = recs.flatMap { case (id, t) => grams(t).map(tok => Row(id, tok, idf.getOrElse(tok, 0.0))) }
       spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), StructType(Seq(
         StructField(idCol, LongType), StructField("token", StringType),
         StructField("weight", DoubleType))))
     }
-    val postL = posting(L, "leftId")
-    val postR = posting(R, "rightId").drop("weight")
-    val sparkSims = postL.join(postR, Seq("token"))
-      .groupBy("leftId", "rightId")
-      .agg(round(sum("weight"), 4).as("blockSim"))
-      .select(col("leftId").cast("string").as("leftId"),
-              col("rightId").cast("string").as("rightId"), col("blockSim"))
-    Oracle.assertEquivalent(sparkSims,
-      """SELECT l.leftId AS leftId, r.rightId AS rightId,
-        |       ROUND(SUM(CAST(l.weight AS DOUBLE)), 4) AS blockSim
-        |FROM postl l JOIN postr r ON l.token = r.token
-        |GROUP BY l.leftId, r.rightId""".stripMargin,
-      "postl" -> postL, "postr" -> postR)
+    val cand = triples(Blocking.block(L, R)._1.toSeq, "blockSim")
+    Oracle.assertEquivalent(cand,
+      """SELECT c.leftId AS leftId, c.rightId AS rightId,
+        |       SUM(CAST(l.weight AS DOUBLE)) AS blockSim
+        |FROM cand c
+        |JOIN postl l ON l.leftId = c.leftId
+        |JOIN postr r ON r.rightId = c.rightId AND r.token = l.token
+        |GROUP BY c.leftId, c.rightId""".stripMargin,
+      "cand" -> cand, "postl" -> posting(L, "leftId"), "postr" -> posting(R, "rightId").drop("weight"))
   }
 
+  private def topKSql(k: Int) =
+    s"""SELECT leftId, rightId, CAST(sim AS DOUBLE) AS blockSim FROM (
+       |  SELECT leftId, rightId, sim,
+       |         ROW_NUMBER() OVER (PARTITION BY rightId
+       |                            ORDER BY CAST(sim AS DOUBLE) DESC, CAST(leftId AS BIGINT) ASC) AS rk
+       |  FROM sims) WHERE rk <= $k""".stripMargin
+
   test("top-k ranking matches a SQL window (DuckDB oracle)") {
-    val idf = Blocking.idfOverLeft(dfL)
-    val cand = Blocking.candidates(dfL, dfR, k = 2, idf)
-      .select(col("leftId").cast("string").as("leftId"),
-              col("rightId").cast("string").as("rightId"))
-    val simsDf = {
-      val idfMap = idf.collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-      val rows = for {
-        (lid, lt) <- L
-        (rid, rt) <- R
-        common = Tokenize.ngrams(Preprocess.lower(lt), 3)
-          .intersect(Tokenize.ngrams(Preprocess.lower(rt), 3))
-        sim = common.flatMap(idfMap.get).sum if sim > 0
-      } yield Row(lid, rid, sim)
-      spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), StructType(Seq(
-        StructField("leftId", LongType), StructField("rightId", LongType),
-        StructField("sim", DoubleType))))
-    }
-    Oracle.assertEquivalent(cand,
-      """SELECT leftId, rightId FROM (
-        |  SELECT leftId, rightId,
-        |         ROW_NUMBER() OVER (PARTITION BY rightId
-        |                            ORDER BY CAST(sim AS DOUBLE) DESC, CAST(leftId AS BIGINT) ASC) AS rk
-        |  FROM sims) WHERE rk <= 2""".stripMargin,
-      "sims" -> simsDf)
+    val cand = triples(Blocking.block(L, R)._1.toSeq, "blockSim").select("leftId", "rightId")
+    Oracle.assertEquivalent(cand, s"SELECT leftId, rightId FROM (${topKSql(Blocking.topK(L.size))})",
+      "sims" -> triples(simsOf(L, R), "sim"))
+  }
+
+  test("an exact tie at rank k keeps the smaller leftId") {
+    // |L| = 5, so k = 3. 4 and 6 share the same common tokens with r=100,
+    // so their sums tie bit-for-bit at ranks 3 and 4.
+    val l = Seq(1L -> "alpha beta qqq", 2L -> "alpha beta qqx", 6L -> "alpha beta yyy",
+      4L -> "alpha beta zzz", 9L -> "gamma delta")
+    val r = Seq(100L -> "alpha beta qqq")
+    assert(Blocking.topK(l.size) == 3)
+    val sim = simsOf(l, r).map(t => t._1 -> t._3).toMap
+    assert(sim(4L) == sim(6L), "4 and 6 should tie exactly")
+    assert(sim(2L) > sim(4L) && sim(1L) > sim(2L))
+    val (lr, _) = Blocking.block(l, r)
+    assert(lr.toSeq.map(t => (t._1, t._2)) == Seq(1L -> 100L, 2L -> 100L, 4L -> 100L))
+    assert(bits(lr).last._3 == java.lang.Double.doubleToRawLongBits(sim(6L)))
   }
 
   private def rows(df: DataFrame): Seq[(Long, Long, Double)] =
     df.collect().toSeq.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-
-  test("an exact tie at rank k keeps the smaller leftId") {
-    // 4 and 6 share the same common tokens with r=100, so their sums tie
-    // bit-for-bit at ranks 2 and 3; k = 2.
-    val l = SingleColumnPipeline.toDF(spark, Seq(
-      1L -> "alpha beta qqq", 6L -> "alpha beta yyy", 4L -> "alpha beta zzz", 9L -> "gamma delta"))
-    val r = SingleColumnPipeline.toDF(spark, Seq(100L -> "alpha beta qqq"))
-    val top3 = rows(Blocking.candidates(l, r, k = 3, Blocking.idfOverLeft(l)))
-    assert(top3.map(_._1) == Seq(1L, 4L, 6L))
-    assert(top3(1)._3 == top3(2)._3, "4 and 6 should tie exactly")
-    val (lr, _) = Blocking.block(spark, l, r)
-    assert(rows(lr).map(t => (t._1, t._2)) == Seq(1L -> 100L, 4L -> 100L))
-  }
 
   test("self candidates keep k+1, then drop the identity wherever it ranks") {
     // k = 2. 1 and 5 are duplicates: l=5's identity ties l=1 and ranks
@@ -155,40 +166,22 @@ class BlockingSpec extends SparkSpec {
 
   test("block's L-R and L-L candidates match a SQL top-k (DuckDB oracle)") {
     val task = Benchmarks.tiny()
-    def grams(t: String) = Tokenize.ngrams(Preprocess.lower(t), 3)
-    val n = task.left.size
-    val idf: Map[String, Double] = task.left.flatMap(t => grams(t._2)).groupBy(identity)
-      .map { case (tok, occ) => tok -> (math.log(n.toDouble / occ.size) + 1.0) }
-    val fromBlocking = Blocking.idfOverLeft(SingleColumnPipeline.toDF(spark, task.left)).collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
-    assert(fromBlocking.keySet == idf.keySet)
-    assert(fromBlocking.forall { case (tok, w) => math.abs(w - idf(tok)) < 1e-12 })
-    // Every pair sharing a token, with its sim summed in sorted-token order.
-    def sims(probes: Seq[(Long, String)]) = {
-      val rows = for {
-        (lid, lt) <- task.left
-        (pid, pt) <- probes
-        common = grams(lt).intersect(grams(pt)) if common.nonEmpty
-      } yield Row(lid, pid, common.map(idf).sum)
-      spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), StructType(Seq(
-        StructField("leftId", LongType), StructField("rightId", LongType),
-        StructField("sim", DoubleType))))
-    }
-    def topK(k: Int) =
-      s"""SELECT leftId, rightId, CAST(sim AS DOUBLE) AS blockSim FROM (
-         |  SELECT leftId, rightId, sim,
-         |         ROW_NUMBER() OVER (PARTITION BY rightId
-         |                            ORDER BY CAST(sim AS DOUBLE) DESC, CAST(leftId AS BIGINT) ASC) AS rk
-         |  FROM sims) WHERE rk <= $k""".stripMargin
+    val k = Blocking.topK(task.left.size)
+    // The same top-k over the test's own IDF sums: blockSim bits included,
+    // which pins the IDF formula and the summation order.
+    def topK(sims: Seq[(Long, Long, Double)], kk: Int) =
+      sims.groupBy(_._2).toSeq.sortBy(_._1).flatMap { case (_, ps) => ps.sortBy(t => (-t._3, t._1)).take(kk) }
+    val lrSims = simsOf(task.left, task.right)
+    val llSims = simsOf(task.left, task.left)
+    val (lr, ll) = Blocking.block(task.left, task.right)
+    assert(bits(lr) == bits(topK(lrSims, k).toArray))
+    assert(bits(ll) == bits(topK(llSims, k + 1).filter(t => t._1 != t._2).toArray))
     def asStrings(df: DataFrame) =
       df.select(col("leftId").cast("string").as("leftId"),
                 col("rightId").cast("string").as("rightId"), col("blockSim"))
-    val (lr, ll) = Blocking.block(spark,
-      SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
-    val k = Blocking.topK(n)
-    Oracle.assertEquivalent(asStrings(lr), topK(k), "sims" -> sims(task.right))
-    Oracle.assertEquivalent(asStrings(ll),
-      s"SELECT * FROM (${topK(k + 1)}) WHERE leftId <> rightId", "sims" -> sims(task.left))
+    Oracle.assertEquivalent(asStrings(triples(lr.toSeq, "blockSim")), topKSql(k), "sims" -> triples(lrSims, "sim"))
+    Oracle.assertEquivalent(asStrings(triples(ll.toSeq, "blockSim")),
+      s"SELECT * FROM (${topKSql(k + 1)}) WHERE leftId <> rightId", "sims" -> triples(llSims, "sim"))
   }
 
   private def bits(rows: Array[Blocking.Candidate]): Seq[(Long, Long, Long)] =
@@ -198,7 +191,7 @@ class BlockingSpec extends SparkSpec {
 
   test("the local block equals the frame wrapper's rows, blockSim bits included") {
     for (task <- Seq(Benchmarks.tiny(), suiteTask("Stadium"))) {
-      val (lr, ll) = Blocking.block(task.left, task.right, 1.0)
+      val (lr, ll) = Blocking.block(task.left, task.right)
       val (lrDf, llDf) = Blocking.block(spark,
         SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
       def collected(df: DataFrame) = bits(df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))))
@@ -211,8 +204,8 @@ class BlockingSpec extends SparkSpec {
   test("the local block is ordered by (probe id, rank) whatever the input order, across probe chunks") {
     val task = suiteTask("Hospital")
     assert(task.right.size > 2 * Blocking.Chunk && task.left.size > 4 * Blocking.Chunk)
-    val (lr, ll) = Blocking.block(task.left, task.right, 1.0)
-    val (lrRev, llRev) = Blocking.block(task.left.reverse, task.right.reverse, 1.0)
+    val (lr, ll) = Blocking.block(task.left, task.right)
+    val (lrRev, llRev) = Blocking.block(task.left.reverse, task.right.reverse)
     assert(bits(lr) == bits(lrRev))
     assert(bits(ll) == bits(llRev))
     for (rows <- Seq(lr, ll)) {
@@ -225,7 +218,7 @@ class BlockingSpec extends SparkSpec {
         }, "a probe's rows are in rank order")
       }
     }
-    assert(bits(Blocking.leftRight(task.left.reverse, task.right, 1.0)) == bits(lr))
+    assert(bits(Blocking.leftRight(task.left.reverse, task.right)) == bits(lr))
   }
 
   test("block leaves no persisted RDD behind") {
