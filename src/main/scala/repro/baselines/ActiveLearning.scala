@@ -62,6 +62,14 @@ object ActiveLearning {
     Logistic(w, b)
   }
 
+  /** `pool` ordered by |p(i) − 0.5|, least certain first, ties in pool
+    * order. Each key is computed once, not once per comparison.
+    */
+  private[baselines] def uncertainFirst(pool: IndexedSeq[Int], p: Int => Double): IndexedSeq[Int] = {
+    val key = pool.map(i => math.abs(p(i) - 0.5)).toArray
+    pool.indices.sortBy(key(_))(Ordering.Double.TotalOrdering).map(pool)
+  }
+
   def run(
       pairs: Seq[CandPair],
       feats: Seq[Array[Double]],
@@ -110,7 +118,7 @@ object ActiveLearning {
         val unlabeled = (0 until n).filterNot(labeled.contains)
         val pick =
           if (model == null) rng.shuffle(unlabeled.toVector).take(batch)
-          else unlabeled.sortBy(i => math.abs(model.p(x(i)) - 0.5)).take(batch)
+          else uncertainFirst(unlabeled, i => model.p(x(i))).take(batch)
         pick.foreach(labeled += _)
       }
     }

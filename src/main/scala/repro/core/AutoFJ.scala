@@ -266,9 +266,13 @@ object AutoFJ {
     val u = new Union(prep)
     val used = new Array[Boolean](prep.candidates.length)
 
-    val lIdxOf: Map[Long, Int] = data.lIds.zipWithIndex.toMap
+    // Ground truth by dense index, read by the actual-P/R trace only.
     val gtDense: Array[Int] =
-      Array.tabulate(prep.nR)(r => gt.get(data.rIds(r)).flatMap(lIdxOf.get).getOrElse(-1))
+      if (gt.isEmpty) Array.emptyIntArray
+      else {
+        val lIdxOf: Map[Long, Int] = data.lIds.zipWithIndex.toMap
+        Array.tabulate(prep.nR)(r => gt.get(data.rIds(r)).flatMap(lIdxOf.get).getOrElse(-1))
+      }
 
     val program = Vector.newBuilder[JoinConfig]
     val trace = Vector.newBuilder[IterStat]

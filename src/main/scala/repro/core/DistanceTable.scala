@@ -34,6 +34,24 @@ object Prepped {
     }
     Prepped(strs, toks, emb)
   }
+
+  /** `Prepped(raws(i))` at every `i`, built once per distinct value and
+    * shared by reference among the positions that hold it (null and ""
+    * are one value).
+    */
+  def interned(raws: Seq[String]): Array[Prepped] = {
+    val byValue = new java.util.HashMap[String, Prepped]
+    raws.iterator.map(raw => byValue.computeIfAbsent(Option(raw).getOrElse(""), apply(_))).toArray
+  }
+
+  /** The records of `left` and `right` by id, through [[interned]] over
+    * both sides together.
+    */
+  def byId(left: Seq[(Long, String)], right: Seq[(Long, String)]): (Map[Long, Prepped], Map[Long, Prepped]) = {
+    val all = interned(left.map(_._2) ++ right.map(_._2))
+    (left.iterator.map(_._1).zip(all.iterator).toMap,
+     right.iterator.map(_._1).zip(all.iterator.drop(left.size)).toMap)
+  }
 }
 
 /** Dataset-level weighting context: one IDF table per (P, T) combo, built
@@ -50,23 +68,28 @@ object FeatureContext {
 }
 
 /** One candidate pair with its vector of all 140 distances, ordered by
-  * join-function id.
+  * join-function id. Tables from [[DistanceTable]] share one `d` among the
+  * pairs of a column whose records hold equal values, so `d` is read-only.
   */
 final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
 
 /** Computes the per-pair distance vectors for a set of candidate pairs on
-  * the driver: the vectors of the (leftId, rightId) pairs from blocking are
-  * computed in chunks on the global execution context. The search reads
-  * every distance on the driver, so a Spark job here would only add
-  * serialization and scheduling. The DataFrame entry points read the pairs
-  * of a frame and delegate.
+  * the driver, with no Spark job: the search reads every distance on the
+  * driver, so a job here would only add serialization and scheduling. The
+  * DataFrame entry points read the pairs of a frame and delegate.
   *
-  * Each column's records are coded once before the pairs are read: per
-  * (P, T), every token becomes an id into a dictionary of the column's
-  * tokens sorted as strings, with its IDF weight in an array. A pair then
-  * needs one merge over ints per (P, T), which yields the equal-weight and
-  * the IDF set statistics together ([[Distances.setStatsIds]]), with the same
-  * sums, in the same order, as merging the token strings.
+  * The work is done once per distinct column value and once per distinct
+  * value pair. A [[Prepped]] is a function of its lower-cased raw value,
+  * `strs(0)`, so records with equal `strs(0)` are one value. Per column, the
+  * distinct values are coded once: per (P, T), every token becomes an id
+  * into a dictionary of the column's tokens sorted as strings, with its IDF
+  * weight in an array. Each pair then maps to its (left value, right value)
+  * index, and each distinct index gets one vector, computed in chunks on
+  * the global execution context and shared by every pair that has it. A
+  * vector needs one merge over ints per (P, T), which yields the
+  * equal-weight and the IDF set statistics together
+  * ([[Distances.setStatsIds]]), with the same sums, in the same order, as
+  * merging the token strings.
   *
   * Order contract: row `i` of every returned table is the `i`-th input
   * pair (for a frame, the `i`-th row of `pairs.collect()`), so the tables of
@@ -74,7 +97,7 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   */
 object DistanceTable {
 
-  /** Pairs per task on the execution context. */
+  /** Value pairs per task on the execution context. */
   private val Chunk = 32
 
   private val NumPT = ConfigSpace.NumPreproc * ConfigSpace.NumTok
@@ -160,43 +183,60 @@ object DistanceTable {
     val n = pairs.length
     val m = ctxs.length
     implicit val ec: ExecutionContext = ExecutionContext.global
-    // L–L tables pass the same map on both sides: code its records once.
+    def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
+    // L–L tables pass the same map on both sides: its values serve both.
     val self = leftCols eq rightCols
     val lIds = leftCols.keys.toArray
     val rIds = if (self) lIds else rightCols.keys.toArray
     val lPos = lIds.iterator.zipWithIndex.toMap
     val rPos = if (self) lPos else rIds.iterator.zipWithIndex.toMap
-    // Per column: the coded left and right records (by position) and the
-    // IDF weights of the column's token ids.
-    val coded = Await.result(Future.sequence((0 until m).map { c =>
+    val pairL = pairs.map(p => lPos(p._1))
+    val pairR = pairs.map(p => rPos(p._2))
+    val cols = all((0 until m).map { c =>
       Future {
         val ls = lIds.map(leftCols(_)(c))
-        val rs = if (self) ls else rIds.map(rightCols(_)(c))
-        val coding = new Coding(if (self) ls else ls ++ rs, ctxs(c))
-        val lc = ls.map(coding(_))
-        (lc, if (self) lc else rs.map(coding(_)), coding.idf)
+        new ColumnPairs(ls, if (self) ls else rIds.map(rightCols(_)(c)), pairL, pairR, ctxs(c))
       }
-    }), Duration.Inf).toArray
-    val cols = Array.fill(m)(new Array[PairDist](n))
-    val chunks = (0 until n by Chunk).map { from =>
-      Future {
-        val until = math.min(from + Chunk, n)
-        var i = from
-        while (i < until) {
-          val (lid, rid) = pairs(i)
-          val l = lPos(lid); val r = rPos(rid)
-          var c = 0
-          while (c < m) {
-            val (lc, rc, idf) = coded(c)
-            cols(c)(i) = PairDist(lid, rid, vector(lc(l), rc(r), idf))
-            c += 1
-          }
-          i += 1
-        }
+    }).toArray
+    val chunks = for (col <- cols.toSeq; from <- 0 until col.vectors.length by Chunk)
+      yield Future(col.fill(from, math.min(from + Chunk, col.vectors.length)))
+    all(chunks)
+    all(cols.toSeq.map(col => Future(Array.tabulate(n) { i =>
+      PairDist(pairs(i)._1, pairs(i)._2, col.vectors(col.pairIdx(i)))
+    }))).toArray
+  }
+
+  /** One column of a [[computeMulti]] call, over its left and right records
+    * by position (`rs eq ls` for an L–L table). Its distinct values are the
+    * records with distinct `strs(0)`, coded once. `pairIdx(i)` indexes pair
+    * `i`'s (left value, right value) among the column's distinct value
+    * pairs, and [[fill]] computes the vector of each of those once, into
+    * `vectors`.
+    */
+  private final class ColumnPairs(
+      ls: Array[Prepped], rs: Array[Prepped], pairL: Array[Int], pairR: Array[Int], ctx: FeatureContext,
+  ) {
+    private val valueOf = new java.util.HashMap[String, Integer]
+    private val values = scala.collection.mutable.ArrayBuffer.empty[Prepped]
+    private def valuesOf(recs: Array[Prepped]): Array[Int] =
+      recs.map(p => valueOf.computeIfAbsent(p.strs(0), _ => { values += p; values.length - 1 }).intValue)
+    private val lVal = valuesOf(ls)
+    private val rVal = if (rs eq ls) lVal else valuesOf(rs)
+    private val coding = new Coding(values, ctx)
+    private val coded = values.map(coding(_)).toArray
+    private val nv = coded.length.toLong
+    val (valuePairs, pairIdx) =
+      SearchData.denseIndex(Array.tabulate(pairL.length)(i => lVal(pairL(i)) * nv + rVal(pairR(i))))
+    val vectors = new Array[Array[Float]](valuePairs.length)
+
+    def fill(from: Int, until: Int): Unit = {
+      var k = from
+      while (k < until) {
+        val vp = valuePairs(k)
+        vectors(k) = vector(coded((vp / nv).toInt), coded((vp % nv).toInt), coding.idf)
+        k += 1
       }
     }
-    Await.result(Future.sequence(chunks), Duration.Inf)
-    cols
   }
 
   /** Single-column [[computeMulti]]: distance vectors for every

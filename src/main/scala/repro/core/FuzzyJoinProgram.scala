@@ -33,8 +33,7 @@ final case class FuzzyJoinProgram(
     val lrCand = Blocking.leftRight(lRecs, rRecs)
     val lText = lRecs.toMap
     val rText = rRecs.toMap
-    val lPrepped = lText.map { case (id, t) => id -> Prepped(t) }
-    val rPrepped = rText.map { case (id, t) => id -> Prepped(t) }
+    val (lPrepped, rPrepped) = Prepped.byId(lRecs, rRecs)
     val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
     val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
     val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }

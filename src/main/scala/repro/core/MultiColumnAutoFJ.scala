@@ -9,7 +9,8 @@ import repro.data.MultiTask
   * with linear weight blending) on top of the single-column greedy search.
   *
   * Everything runs on the driver, with no Spark job. Blocking runs once on
-  * the concatenation of all columns ([[Blocking.block]]); the per-column
+  * the concatenation of all columns ([[Blocking.block]]); the columns are
+  * prepared concurrently, once per distinct value, and the per-column
   * distance tables of the L–R and of the L–L pairs each come from one
   * driver-side [[DistanceTable.computeMulti]] call and are aligned by pair
   * index. [[run]] copies the selection's distances once into column-major
@@ -33,10 +34,16 @@ object MultiColumnAutoFJ {
   )
 
   /** Block on concatenated columns and compute one aligned distance table
-    * per column. Runs no Spark job; `spark` is not read.
+    * per column. Each column is prepared as one `Future` on the global
+    * execution context: one [[Prepped]] per distinct value, shared by every
+    * record that holds it ([[Prepped.interned]]), and the column's
+    * [[FeatureContext]] over every record, since IDF counts records.
+    * [[DistanceTable.computeMulti]] then computes one vector per distinct
+    * value pair. Runs no Spark job; `spark` is not read.
     */
   def prepare(spark: SparkSession, task: MultiTask): PreparedMulti = {
     val m = task.nCols
+    implicit val ec: ExecutionContext = ExecutionContext.global
     val lConcat = task.left.map { case (id, v) => (id, v.mkString(" ")) }
     val rConcat = task.right.map { case (id, v) => (id, v.mkString(" ")) }
     val (lrCand, llCand) = Blocking.block(lConcat, rConcat)
@@ -44,10 +51,16 @@ object MultiColumnAutoFJ {
     val lrPairs = lrCand.map(t => (t._1, t._2)).sorted
     val llPairs = llCand.map(t => (t._1, t._2)).sorted
 
-    val lPrepped = task.left.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
-    val rPrepped = task.right.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
-    val ctxs = Array.tabulate(m)(c =>
-      FeatureContext.build(lPrepped.values.map(_(c)) ++ rPrepped.values.map(_(c))))
+    val nL = task.left.length
+    val cols = Await.result(Future.sequence((0 until m).map { c =>
+      Future {
+        val recs = Prepped.interned(task.left.map(_._2(c)) ++ task.right.map(_._2(c)))
+        (recs, FeatureContext.build(recs))
+      }
+    }), Duration.Inf).toArray
+    val lPrepped = task.left.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(i)) }.toMap
+    val rPrepped = task.right.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(nL + i)) }.toMap
+    val ctxs = cols.map(_._2)
     val lrCols = DistanceTable.computeMulti(lrPairs, lPrepped, rPrepped, ctxs)
     val llCols = DistanceTable.computeMulti(llPairs, lPrepped, lPrepped, ctxs)
     PreparedMulti(task.columns, lrCols, llCols)

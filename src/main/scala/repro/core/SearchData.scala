@@ -152,28 +152,28 @@ object SearchData {
       }
       new Tables(lIds, rIds, lrLeft, lrRight, llLeft, llRight, extract(lrCols), extract(llCols), fids)
     }
+  }
 
-    /** The distinct values of `ids` in first-seen order, and each element's
-      * index among them (an open-addressing table of primitive longs).
-      */
-    private def denseIndex(ids: Array[Long]): (Array[Long], Array[Int]) = {
-      val bits = 32 - Integer.numberOfLeadingZeros(math.max(ids.length, 1)) + 1
-      val mask = (1 << bits) - 1
-      val keys = new Array[Long](1 << bits)
-      val slot = Array.fill(1 << bits)(-1)
-      val distinct = new Array[Long](ids.length)
-      val idx = new Array[Int](ids.length)
-      var n = 0
-      var i = 0
-      while (i < ids.length) {
-        val id = ids(i)
-        var h = ((id * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
-        while (slot(h) >= 0 && keys(h) != id) h = (h + 1) & mask
-        if (slot(h) < 0) { keys(h) = id; slot(h) = n; distinct(n) = id; n += 1 }
-        idx(i) = slot(h)
-        i += 1
-      }
-      (java.util.Arrays.copyOf(distinct, n), idx)
+  /** The distinct values of `ids` in first-seen order, and each element's
+    * index among them (an open-addressing table of primitive longs).
+    */
+  private[core] def denseIndex(ids: Array[Long]): (Array[Long], Array[Int]) = {
+    val bits = 32 - Integer.numberOfLeadingZeros(math.max(ids.length, 1)) + 1
+    val mask = (1 << bits) - 1
+    val keys = new Array[Long](1 << bits)
+    val slot = Array.fill(1 << bits)(-1)
+    val distinct = new Array[Long](ids.length)
+    val idx = new Array[Int](ids.length)
+    var n = 0
+    var i = 0
+    while (i < ids.length) {
+      val id = ids(i)
+      var h = ((id * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
+      while (slot(h) >= 0 && keys(h) != id) h = (h + 1) & mask
+      if (slot(h) < 0) { keys(h) = id; slot(h) = n; distinct(n) = id; n += 1 }
+      idx(i) = slot(h)
+      i += 1
     }
+    (java.util.Arrays.copyOf(distinct, n), idx)
   }
 }

@@ -59,8 +59,7 @@ object SingleColumnPipeline {
     val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
     val rules = NegativeRules.learnWords(llRows.iterator.map { case (a, b) => (lWords(a), lWords(b)) })
 
-    val lPrepped = left.map { case (id, t) => id -> Prepped(t) }.toMap
-    val rPrepped = right.map { case (id, t) => id -> Prepped(t) }.toMap
+    val (lPrepped, rPrepped) = Prepped.byId(left, right)
     val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
 
     val lrAll = DistanceTable.compute(lrRows.map(t => (t._1, t._2)), lPrepped, rPrepped, ctx)

@@ -42,4 +42,22 @@ class ActiveLearningSpec extends AnyFunSuite {
     val b = ActiveLearning.run(pairs, feats, gt, seed = 5)
     assert(a == b)
   }
+
+  test("uncertainFirst picks what sorting by a recomputed |p - 0.5| picks, ties included") {
+    val rng = new Random(11)
+    // Scores from a small set, symmetric about 0.5, so many keys tie
+    // exactly (0.25 and 0.75 both give 0.25).
+    val levels = Array(0.05, 0.25, 0.4, 0.5, 0.6, 0.75, 0.95)
+    val score = Array.fill(400)(levels(rng.nextInt(levels.length)))
+    val pool = (0 until 400).filter(_ => rng.nextInt(4) != 0)
+    var calls = 0
+    def p(i: Int): Double = { calls += 1; score(i) }
+    val old = pool.sortBy(i => math.abs(p(i) - 0.5))
+    val oldCalls = calls
+    calls = 0
+    val now = ActiveLearning.uncertainFirst(pool, p)
+    assert(now == old)
+    assert(calls == pool.size, "one score per pool element")
+    assert(oldCalls > pool.size)
+  }
 }

@@ -174,6 +174,81 @@ class DistanceTableSpec extends SparkSpec {
     }
   }
 
+  /** Per-column [[PairDist]] tables against `vector`, bit for bit, row by
+    * row in input order; None when they agree.
+    */
+  private def multiMismatch(
+      pairs: Array[(Long, Long)], lCols: Map[Long, Array[Prepped]], rCols: Map[Long, Array[Prepped]],
+      ctxs: Array[FeatureContext],
+  ): Option[String] = {
+    val out = DistanceTable.computeMulti(pairs, lCols, rCols, ctxs)
+    if (out.length != ctxs.length) return Some(s"${out.length} tables for ${ctxs.length} columns")
+    out.indices.iterator.flatMap { c =>
+      if (out(c).length != pairs.length) Some(s"column $c: ${out(c).length} rows for ${pairs.length} pairs")
+      else pairs.indices.iterator.collectFirst {
+        case i if out(c)(i).leftId != pairs(i)._1 || out(c)(i).rightId != pairs(i)._2 ||
+            !java.util.Arrays.equals(out(c)(i).d,
+              DistanceTable.vector(lCols(pairs(i)._1)(c), rCols(pairs(i)._2)(c), ctxs(c))) =>
+          s"column $c row $i ${pairs(i)} differs from vector"
+      }
+    }.nextOption()
+  }
+
+  /** Two-column records, one unshared `Prepped` per record and value. */
+  private def records(values: Seq[(Long, Seq[String])]): Map[Long, Array[Prepped]] =
+    values.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
+
+  private def contexts(maps: Map[Long, Array[Prepped]]*): Array[FeatureContext] =
+    Array.tabulate(2)(c => FeatureContext.build(maps.flatMap(_.values.map(_(c)))))
+
+  test("computeMulti on repeated values: rows bit-equal to vector, one vector per value pair") {
+    val lCols = records(Seq(
+      1L -> Seq("Foo", "red"), 2L -> Seq("foo", "red"), 3L -> Seq(null, "Red"),
+      4L -> Seq("", "blue"), 5L -> Seq("Foo Bar", null), 6L -> Seq("foo", "")))
+    val rCols = records(Seq(
+      10L -> Seq("FOO", "red"), 11L -> Seq("", "blue"), 12L -> Seq(null, "red"), 13L -> Seq("foo bar", "")))
+    val ctxs = contexts(lCols, rCols)
+    val lr = (for (l <- 1L to 6L; r <- 10L to 13L) yield (l, r)).reverse.toArray
+    val ll = (for (a <- 1L to 6L; b <- 1L to 6L if a != b) yield (a, b)).toArray
+    assert(multiMismatch(lr, lCols, rCols, ctxs).isEmpty)
+    assert(multiMismatch(ll, lCols, lCols, ctxs).isEmpty)
+    // Pairs share a vector exactly when their (strs(0), strs(0)) pairs are
+    // equal: "Foo"/"foo"/"FOO" are one value, and so are null and "".
+    for ((pairs, right) <- Seq((lr, rCols), (ll, lCols))) {
+      val out = DistanceTable.computeMulti(pairs, lCols, right, ctxs)
+      (0 until 2).foreach { c =>
+        val values = pairs.map { case (l, r) => (lCols(l)(c).strs(0), right(r)(c).strs(0)) }
+        // Arrays compare by reference: this counts the vectors.
+        assert(out(c).map(_.d).distinct.length == values.distinct.length)
+        assert(values.distinct.length < pairs.length)
+      }
+    }
+  }
+
+  test("computeMulti rows are bit-equal to vector on values from a small alphabet (ScalaCheck)") {
+    val alphabet = Seq("Foo", "foo", "FOO bar", "foo bar", "bar", null, "", "a-b c", "a b c", "St. Mary")
+    val value = Gen.oneOf(alphabet)
+    val recs = (from: Long) => Gen.choose(1, 10).flatMap(n =>
+      Gen.listOfN(n, Gen.listOfN(2, value)).map(_.zipWithIndex.map { case (v, i) => (from + i) -> v }))
+    def pairsOf(l: Seq[Long], r: Seq[Long]) = Gen.choose(0, 40).flatMap(k =>
+      Gen.listOfN(k, Gen.zip(Gen.oneOf(l), Gen.oneOf(r))).map(_.toArray))
+    val gen = for {
+      l <- recs(1L)
+      r <- recs(1000L)
+      lr <- pairsOf(l.map(_._1), r.map(_._1))
+      ll <- pairsOf(l.map(_._1), l.map(_._1))
+    } yield (l, r, lr, ll)
+    val prop = Prop.forAll(gen) { case (l, r, lr, ll) =>
+      val lCols = records(l); val rCols = records(r)
+      val ctxs = contexts(lCols, rCols)
+      val bad = multiMismatch(lr, lCols, rCols, ctxs).map("L-R: " + _)
+        .orElse(multiMismatch(ll, lCols, lCols, ctxs).map("L-L: " + _))
+      Prop(bad.isEmpty) :| bad.getOrElse("")
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
   /** Records with the given token sets per (P, T); every string is "x", so
     * only the set slots differ between records.
     */

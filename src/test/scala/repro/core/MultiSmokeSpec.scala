@@ -34,6 +34,35 @@ class MultiSmokeSpec extends SparkSpec {
     assert(jobs == 0)
   }
 
+  test("prepare's tables are bit-equal to per-record Prepped and a context over every record") {
+    val task = MultiColGen.generate(MultiColGen.specs.head.copy(
+      name = "FZ-ref", nL = 60, nExtra = 15, nMatches = 15, nNonMatches = 20))
+    val m = task.nCols
+    val repeated = (0 until m).count(c => task.left.map(_._2(c)).distinct.size < task.left.size)
+    assert(repeated >= 2, "the task has columns whose values repeat")
+    val prep = MultiColumnAutoFJ.prepare(spark, task)
+    // The reference: one unshared Prepped per record and column, and each
+    // column's context built sequentially over every record of L and R.
+    def recs(side: Seq[(Long, Vector[String])]) = side.map { case (id, v) => id -> v.map(Prepped(_)) }.toMap
+    val lRecs = recs(task.left); val rRecs = recs(task.right)
+    val ctxs = Array.tabulate(m)(c =>
+      FeatureContext.build(task.left.map(t => lRecs(t._1)(c)) ++ task.right.map(t => rRecs(t._1)(c))))
+    def concat(side: Seq[(Long, Vector[String])]) = side.map { case (id, v) => (id, v.mkString(" ")) }
+    val (lrCand, llCand) = Blocking.block(concat(task.left), concat(task.right))
+    for ((name, got, cand, right) <- Seq(("L-R", prep.lrCols, lrCand, rRecs), ("L-L", prep.llCols, llCand, lRecs))) {
+      val pairs = cand.map(t => (t._1, t._2)).sorted
+      assert(pairs.nonEmpty)
+      assert(got.length == m)
+      (0 until m).foreach { c =>
+        assert(got(c).map(p => (p.leftId, p.rightId)).toSeq == pairs.toSeq, s"$name column $c pairs")
+        got(c).foreach { p =>
+          val want = DistanceTable.vector(lRecs(p.leftId)(c), right(p.rightId)(c), ctxs(c))
+          assert(java.util.Arrays.equals(p.d, want), s"$name column $c pair (${p.leftId}, ${p.rightId})")
+        }
+      }
+    }
+  }
+
   test("random columns are never selected (Table 4b mechanism)") {
     val spec = MultiColGen.specs.head.copy(
       name = "FZ-rand", nL = 120, nExtra = 30, nMatches = 30, nNonMatches = 40)
