@@ -47,36 +47,89 @@ object AutoFJ {
     * per-function nearest-l for each r, the joined-order of right records,
     * and the candidate configurations with the estimated precision of each
     * of their joins.
+    *
+    * One function slot at a time: the nearest l of each r is a pass over
+    * r's row of the L–R layout; then only the balls around the nearest l
+    * of some r that the largest θ joins are blended ([[SearchData.llDist]])
+    * and counted ([[BallCounts]]), since no other ball is read.
     */
   private final class Prep(val data: SearchData, thetas: Array[Double]) {
     val nF: Int = data.nF
     val nR: Int = data.nRight
-    val nL: Int = data.nLeft
     val nK: Int = thetas.length
 
-    val bestL: Array[Array[Int]] = Array.fill(nF)(Array.fill(nR)(-1))
-    val bestD: Array[Array[Float]] = Array.fill(nF)(Array.fill(nR)(Float.MaxValue))
-    locally {
-      var s = 0
-      while (s < nF) {
-        val dists = data.lrDist(s); val bl = bestL(s); val bd = bestD(s)
-        var i = 0
-        while (i < data.nLr) {
-          val r = data.lrRight(i); val d = dists(i)
-          if (d < bd(r) || (d == bd(r) && (bl(r) < 0 || data.lrLeft(i) < bl(r)))) {
-            bd(r) = d; bl(r) = data.lrLeft(i)
-          }
-          i += 1
+    val bestL: Array[Array[Int]] = Array.fill(nF)(new Array[Int](nR))
+    val bestD: Array[Array[Float]] = Array.fill(nF)(new Array[Float](nR))
+
+    /** Per f, the r's with a candidate, ascending by bestD (as
+      * `Float.compare`), ties by ascending r — the set joined by ⟨f, θ⟩ is a
+      * prefix of this order.
+      */
+    val rOrder: Array[Array[Int]] = new Array(nF)
+
+    /** Candidate configurations: per f, only threshold steps where the
+      * joined prefix grows — among thresholds with identical joined sets
+      * the smallest dominates (smaller 2θ-balls ⇒ higher estimated
+      * precision), so the rest are noise.
+      */
+    val candidates: Array[Cand] = {
+      val out = scala.collection.mutable.ArrayBuffer.empty[Cand]
+      val balls = new BallCounts(data, thetas)
+      var f = 0
+      while (f < nF) {
+        nearest(f)
+        val order = joinOrder(f)
+        rOrder(f) = order
+        val bl = bestL(f); val bd = bestD(f)
+        var reach = 0
+        if (nK > 0) {
+          val last = thetas(nK - 1).toFloat
+          while (reach < order.length && bd(order(reach)) <= last) reach += 1
         }
-        s += 1
+        balls.count(f, Array.tabulate(reach)(i => bl(order(i))))
+        var prev = 0
+        var k = 0
+        while (k < nK) {
+          val th = thetas(k).toFloat
+          var len = prev
+          while (len < order.length && bd(order(len)) <= th) len += 1
+          if (len > prev) {
+            val p = new Array[Double](len)
+            var i = 0
+            while (i < len) { p(i) = 1.0 / balls(bl(order(i)), k); i += 1 }
+            out += Cand(f, k, p)
+          }
+          prev = len
+          k += 1
+        }
+        f += 1
+      }
+      out.toArray
+    }
+
+    /** Fills `bestL(f)`/`bestD(f)`: per r, the l of least distance under f,
+      * ties to the smaller dense index; -1 for an r without a candidate.
+      */
+    private def nearest(f: Int): Unit = {
+      val dists = data.lrDist(f); val off = data.lrOff; val left = data.lrLeft
+      val bl = bestL(f); val bd = bestD(f)
+      var r = 0
+      while (r < nR) {
+        var l = -1
+        var d = Float.MaxValue
+        var j = off(r)
+        while (j < off(r + 1)) {
+          val dj = dists(j); val lj = left(j)
+          if (dj < d || (dj == d && (l < 0 || lj < l))) { d = dj; l = lj }
+          j += 1
+        }
+        bl(r) = l; bd(r) = d
+        r += 1
       }
     }
 
-    /** r's with a candidate, ascending by bestD (as `Float.compare`), ties
-      * by ascending r — the set joined by ⟨f, θ⟩ is a prefix of this order.
-      * Sorted as primitive longs: bestD's sortable bits above r.
-      */
-    val rOrder: Array[Array[Int]] = Array.tabulate(nF) { f =>
+    /** `rOrder(f)`, sorted as primitive longs: bestD's sortable bits above r. */
+    private def joinOrder(f: Int): Array[Int] = {
       val bl = bestL(f); val bd = bestD(f)
       val keys = new Array[Long](nR)
       var n = 0
@@ -97,87 +150,73 @@ object AutoFJ {
       order
     }
 
-    val ballOff: Array[Int] = {
-      val off = new Array[Int](nL + 1)
-      var i = 0
-      while (i < data.nLl) { off(data.llLeft(i) + 1) += 1; i += 1 }
-      i = 1
-      while (i <= nL) { off(i) += off(i - 1); i += 1 }
-      off
-    }
+    def config(c: Cand): JoinConfig = JoinConfig(data.fids(c.f), thetas(c.k))
+  }
 
-    /** Per f, the L–L distances of each ball around an l that is some r's
-      * nearest under f, sorted, at `ballOff(l)`. [[ballCount]] is asked about
-      * no other ball, so the others are neither filled nor sorted.
+  /** |ball(l, 2θ_k)| of Eq. 8/9: #L records within radius 2θ_k of l under
+    * one function slot, counting l itself. Distances are floats, and the
+    * radius is `(2θ_k).toFloat`, so a neighbor at exactly 2θ is counted
+    * (0.1f > 0.1d otherwise).
+    *
+    * [[count]] puts each member of a ball into the first θ-grid step whose
+    * radius covers it — a guess from the grid's spacing, then exact
+    * compares, so any non-decreasing grid is counted right — and
+    * prefix-sums the steps, so [[apply]] is one read. The scratch arrays
+    * are sized by min(|L|, |R|)·|θ| once and reused for every slot.
+    */
+  private[core] final class BallCounts(data: SearchData, thetas: Array[Double]) {
+    private val nK = thetas.length
+    require((1 until nK).forall(k => thetas(k - 1) <= thetas(k)), "thresholds must be non-decreasing")
+    private val radius = thetas.map(t => (2.0 * t).toFloat)
+    private val lo = if (nK > 0) radius(0) else 0f
+    private val hi = if (nK > 0) radius(nK - 1) else Float.NegativeInfinity
+    private val perStep = if (hi > lo) (nK - 1) / (hi.toDouble - lo) else 0.0
+    /** Ball l's cumulative counts at `row(l) * nK`, or -1 if not counted. */
+    private val row = Array.fill(data.nLeft)(-1)
+    private val cum = new Array[Int](math.min(data.nLeft, data.nRight) * nK)
+    private val counted = new Array[Int](math.min(data.nLeft, data.nRight))
+    private var nCounted = 0
+    private val hist = new Array[Int](nK)
+    private var acc = new Array[Double](16)
+
+    /** Counts the balls `ls` (repeats allowed, at most min(|L|, |R|)
+      * distinct) under slot `s`, replacing the previous slot's counts.
       */
-    val ballDist: Array[Array[Float]] = Array.tabulate(nF) { f =>
-      val needed = new Array[Boolean](nL)
-      bestL(f).foreach(l => if (l >= 0) needed(l) = true)
-      val out = new Array[Float](data.nLl)
-      val pos = java.util.Arrays.copyOf(ballOff, nL)
-      val dists = data.llDist(f)
+    def count(s: Int, ls: Array[Int]): Unit = {
       var i = 0
-      while (i < data.nLl) {
-        val l = data.llLeft(i)
-        if (needed(l)) { out(pos(l)) = dists(i); pos(l) += 1 }
+      while (i < nCounted) { row(counted(i)) = -1; i += 1 }
+      nCounted = 0
+      i = 0
+      while (i < ls.length) {
+        val l = ls(i)
+        if (row(l) < 0) {
+          row(l) = nCounted; counted(nCounted) = l
+          val from = data.llOff(l); val size = data.llOff(l + 1) - from
+          if (acc.length < size) acc = new Array[Double](math.max(size, 2 * acc.length))
+          data.llDist(s, from, from + size, acc)
+          var j = 0
+          while (j < size) {
+            val d = acc(j).toFloat
+            if (d <= hi) {
+              var k = if (d <= lo) 0 else math.min(nK - 1, ((d - lo) * perStep).toInt + 1)
+              while (d > radius(k)) k += 1
+              while (k > 0 && d <= radius(k - 1)) k -= 1
+              hist(k) += 1
+            }
+            j += 1
+          }
+          val base = nCounted * nK
+          var sum = 0
+          var k = 0
+          while (k < nK) { sum += hist(k); hist(k) = 0; cum(base + k) = sum; k += 1 }
+          nCounted += 1
+        }
         i += 1
       }
-      var l = 0
-      while (l < nL) {
-        if (needed(l)) java.util.Arrays.sort(out, ballOff(l), ballOff(l + 1))
-        l += 1
-      }
-      out
     }
 
-    /** #L records within radius x of l, counting l itself (Eq. 8/9), for an
-      * l that is some r's nearest under f. Distances are stored as floats;
-      * the radius is rounded to float so a neighbor at exactly 2θ is counted
-      * (0.1f > 0.1d otherwise).
-      */
-    def ballCount(f: Int, l: Int, x: Double): Int = {
-      val xf = x.toFloat
-      val arr = ballDist(f)
-      var lo = ballOff(l); var hi = ballOff(l + 1)
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        if (arr(mid) <= xf) lo = mid + 1 else hi = mid
-      }
-      1 + (lo - ballOff(l))
-    }
-
-    /** Candidate configurations: per f, only threshold steps where the
-      * joined prefix grows — among thresholds with identical joined sets
-      * the smallest dominates (smaller 2θ-balls ⇒ higher estimated
-      * precision), so the rest are noise.
-      */
-    val candidates: Array[Cand] = {
-      val out = scala.collection.mutable.ArrayBuffer.empty[Cand]
-      var f = 0
-      while (f < nF) {
-        val order = rOrder(f)
-        var prev = 0
-        var k = 0
-        while (k < nK) {
-          val th = thetas(k).toFloat
-          var len = prev
-          while (len < order.length && bestD(f)(order(len)) <= th) len += 1
-          if (len > prev) {
-            val twoTheta = 2.0 * thetas(k)
-            val p = new Array[Double](len)
-            var i = 0
-            while (i < len) { p(i) = 1.0 / ballCount(f, bestL(f)(order(i)), twoTheta); i += 1 }
-            out += Cand(f, k, p)
-          }
-          prev = len
-          k += 1
-        }
-        f += 1
-      }
-      out.toArray
-    }
-
-    def config(c: Cand): JoinConfig = JoinConfig(data.fids(c.f), thetas(c.k))
+    /** |ball(l, 2θ_k)| for an l of the last [[count]]. */
+    def apply(l: Int, k: Int): Int = 1 + cum(row(l) * nK + k)
   }
 
   /** Configuration ⟨f, θ_k⟩: it joins the first `p.length` right records of
@@ -199,18 +238,25 @@ object AutoFJ {
 
     def precision: Double = tp / math.max(tp + fp, Eps)
 
-    /** (ΔTP, ΔFP, newJoins) of adding c to the union. */
-    def delta(c: Cand): (Double, Double, Int) = {
+    /** ΔTP and ΔFP of the last [[delta]]. */
+    var dTP = 0.0
+    var dFP = 0.0
+
+    /** Sets [[dTP]]/[[dFP]] to the change of adding c to the union and
+      * returns the number of right records c newly joins.
+      */
+    def delta(c: Cand): Int = {
       val order = prep.rOrder(c.f)
-      var dTP = 0.0; var dFP = 0.0; var nNew = 0
+      var addTP = 0.0; var addFP = 0.0; var nNew = 0
       var i = 0
       while (i < c.p.length) {
         val r = order(i); val p = c.p(i)
-        if (assignedL(r) < 0) { dTP += p; dFP += 1.0 - p; nNew += 1 }
-        else if (p > assignedP(r)) { dTP += p - assignedP(r); dFP -= p - assignedP(r) }
+        if (assignedL(r) < 0) { addTP += p; addFP += 1.0 - p; nNew += 1 }
+        else if (p > assignedP(r)) { addTP += p - assignedP(r); addFP -= p - assignedP(r) }
         i += 1
       }
-      (dTP, dFP, nNew)
+      dTP = addTP; dFP = addFP
+      nNew
     }
 
     def commit(c: Cand): Unit = {
@@ -281,23 +327,24 @@ object AutoFJ {
     while (continue && iter < prep.candidates.length) {
       var best = -1
       var bestProfit = 0.0
-      var bestDelta = (0.0, 0.0, 0)
+      var dTP = 0.0
+      var dFP = 0.0
+      var bestNew = 0
       var ci = 0
       while (ci < prep.candidates.length) {
         if (!used(ci)) {
-          val d @ (dTP, dFP, nNew) = u.delta(prep.candidates(ci))
+          val nNew = u.delta(prep.candidates(ci))
           // Only configs joining a new right record can increase profit
           // (the paper's |R|-iterations termination argument).
           if (nNew > 0) {
-            val profit = (u.tp + dTP) / math.max(u.fp + dFP, Eps)
-            if (profit > bestProfit || (profit == bestProfit && nNew > bestDelta._3)) {
-              best = ci; bestProfit = profit; bestDelta = d
+            val profit = (u.tp + u.dTP) / math.max(u.fp + u.dFP, Eps)
+            if (profit > bestProfit || (profit == bestProfit && nNew > bestNew)) {
+              best = ci; bestProfit = profit; dTP = u.dTP; dFP = u.dFP; bestNew = nNew
             }
           }
         }
         ci += 1
       }
-      val (dTP, dFP, bestNew) = bestDelta
       if (best < 0) continue = false
       else {
         val newPrec = (u.tp + dTP) / math.max(u.tp + dTP + u.fp + dFP, Eps)
@@ -339,8 +386,8 @@ object AutoFJ {
     var best: Cand = null
     var bestTP = 0.0
     prep.candidates.foreach { c =>
-      val (dTP, dFP, _) = u.delta(c)
-      if (dTP / math.max(dTP + dFP, Eps) > tau && dTP > bestTP) { best = c; bestTP = dTP }
+      u.delta(c)
+      if (u.dTP / math.max(u.dTP + u.dFP, Eps) > tau && u.dTP > bestTP) { best = c; bestTP = u.dTP }
     }
     if (best == null) u.result(Vector.empty, Vector.empty)
     else {

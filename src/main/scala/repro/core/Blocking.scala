@@ -153,12 +153,15 @@ object Blocking {
   def leftRight(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]): Array[Candidate] =
     probe(index(lRecs), rRecs, topK(lRecs.length), self = false)
 
-  /** The (id, text) rows of two record frames, collected in one job over
-    * their tagged union.
+  /** The (id, text) rows of two record frames, collected in one job of one
+    * task over their tagged union: `coalesce(1)` reads the union's
+    * partitions in order without a shuffle, so the rows keep the order a
+    * plain collect gives.
     */
   private[core] def records(left: DataFrame, right: DataFrame): (Seq[(Long, String)], Seq[(Long, String)]) = {
     def tagged(df: DataFrame, isLeft: Boolean) = df.select(lit(isLeft), col("id"), col("text"))
-    val (l, r) = tagged(left, isLeft = true).union(tagged(right, isLeft = false)).collect().partition(_.getBoolean(0))
+    val (l, r) = tagged(left, isLeft = true).union(tagged(right, isLeft = false)).coalesce(1).collect()
+      .partition(_.getBoolean(0))
     def recs(rows: Array[Row]) = rows.toSeq.map(row => (row.getLong(1), row.getString(2)))
     (recs(l), recs(r))
   }

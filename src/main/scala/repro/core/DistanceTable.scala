@@ -81,13 +81,16 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   * The work is done once per distinct column value and once per distinct
   * value pair. A [[Prepped]] is a function of its lower-cased raw value,
   * `strs(0)`, so records with equal `strs(0)` are one value. Per column, the
-  * distinct values are coded once: per (P, T), every token becomes an id
-  * into a dictionary of the column's tokens sorted as strings, with its IDF
-  * weight in an array. Each pair then maps to its (left value, right value)
-  * index, and each distinct index gets one vector, computed in chunks on
-  * the global execution context and shared by every pair that has it. A
-  * vector needs one merge over ints per (P, T), which yields the
-  * equal-weight and the IDF set statistics together
+  * distinct values of L ∪ R are coded once, for the L–R and the L–L pairs
+  * alike: per (P, T), every token becomes an id into a dictionary of the
+  * column's tokens sorted as strings, with its IDF weight in an array.
+  * Ids ascend in string order whatever else the dictionary holds, so a
+  * merge reads the same tokens in the same order. Each pair then maps to
+  * its (left value, right value) index, and each distinct index gets one
+  * vector, computed in chunks on the global execution context and shared
+  * by every pair that has it, in the L–R and the L–L table alike. A vector
+  * needs one merge over ints per (P, T), which yields the equal-weight and
+  * the IDF set statistics together
   * ([[Distances.setStatsIds]]), with the same sums, in the same order, as
   * merging the token strings.
   *
@@ -179,54 +182,76 @@ object DistanceTable {
       leftCols: Map[Long, Array[Prepped]],
       rightCols: Map[Long, Array[Prepped]],
       ctxs: Array[FeatureContext],
-  ): Array[Array[PairDist]] = {
-    val n = pairs.length
-    val m = ctxs.length
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
-    // L–L tables pass the same map on both sides: its values serve both.
-    val self = leftCols eq rightCols
-    val lIds = leftCols.keys.toArray
-    val rIds = if (self) lIds else rightCols.keys.toArray
-    val lPos = lIds.iterator.zipWithIndex.toMap
-    val rPos = if (self) lPos else rIds.iterator.zipWithIndex.toMap
-    val pairL = pairs.map(p => lPos(p._1))
-    val pairR = pairs.map(p => rPos(p._2))
-    val cols = all((0 until m).map { c =>
-      Future {
-        val ls = lIds.map(leftCols(_)(c))
-        new ColumnPairs(ls, if (self) ls else rIds.map(rightCols(_)(c)), pairL, pairR, ctxs(c))
-      }
-    }).toArray
-    val chunks = for (col <- cols.toSeq; from <- 0 until col.vectors.length by Chunk)
-      yield Future(col.fill(from, math.min(from + Chunk, col.vectors.length)))
-    all(chunks)
-    all(cols.toSeq.map(col => Future(Array.tabulate(n) { i =>
-      PairDist(pairs(i)._1, pairs(i)._2, col.vectors(col.pairIdx(i)))
-    }))).toArray
+  ): Array[Array[PairDist]] =
+    if (leftCols eq rightCols) tables(leftCols, Map.empty, ctxs, Seq(pairs -> true)).head
+    else tables(leftCols, rightCols, ctxs, Seq(pairs -> false)).head
+
+  /** The L–R tables of `lrPairs` and the L–L tables of `llPairs` (both
+    * sides in `leftCols`), as [[computeMulti]] gives them, with each
+    * column's values coded once for both.
+    */
+  def computeMulti(
+      lrPairs: Array[(Long, Long)],
+      llPairs: Array[(Long, Long)],
+      leftCols: Map[Long, Array[Prepped]],
+      rightCols: Map[Long, Array[Prepped]],
+      ctxs: Array[FeatureContext],
+  ): (Array[Array[PairDist]], Array[Array[PairDist]]) = {
+    val Seq(lr, ll) = tables(leftCols, rightCols, ctxs, Seq(lrPairs -> false, llPairs -> true))
+    (lr, ll)
   }
 
-  /** One column of a [[computeMulti]] call, over its left and right records
-    * by position (`rs eq ls` for an L–L table). Its distinct values are the
-    * records with distinct `strs(0)`, coded once. `pairIdx(i)` indexes pair
-    * `i`'s (left value, right value) among the column's distinct value
-    * pairs, and [[fill]] computes the vector of each of those once, into
-    * `vectors`.
+  /** Per pair set, one table per column. A set flagged `true` pairs left
+    * records with left records, the others pair left with right records.
+    * Each column codes the values of all its records once, and a value pair
+    * that occurs in several sets gets one vector.
     */
-  private final class ColumnPairs(
-      ls: Array[Prepped], rs: Array[Prepped], pairL: Array[Int], pairR: Array[Int], ctx: FeatureContext,
-  ) {
+  private def tables(
+      leftCols: Map[Long, Array[Prepped]],
+      rightCols: Map[Long, Array[Prepped]],
+      ctxs: Array[FeatureContext],
+      sets: Seq[(Array[(Long, Long)], Boolean)],
+  ): Seq[Array[Array[PairDist]]] = {
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
+    val lIds = leftCols.keys.toArray
+    val rIds = rightCols.keys.toArray
+    val lPos = lIds.iterator.zipWithIndex.toMap
+    val rPos = rIds.iterator.zipWithIndex.toMap
+    // Every set's pairs, concatenated, as positions among left ++ right records.
+    val pairL = sets.iterator.flatMap(_._1.iterator.map(p => lPos(p._1))).toArray
+    val pairR = sets.iterator.flatMap { case (pairs, self) =>
+      pairs.iterator.map(p => if (self) lPos(p._2) else lIds.length + rPos(p._2))
+    }.toArray
+    val cols = all(ctxs.indices.map { c =>
+      Future(new ColumnPairs(lIds.map(leftCols(_)(c)) ++ rIds.map(rightCols(_)(c)), pairL, pairR, ctxs(c)))
+    })
+    all(for (col <- cols; from <- 0 until col.vectors.length by Chunk)
+      yield Future(col.fill(from, math.min(from + Chunk, col.vectors.length))))
+    val starts = sets.scanLeft(0)(_ + _._1.length)
+    sets.indices.map { k =>
+      val pairs = sets(k)._1
+      all(cols.map(col => Future(Array.tabulate(pairs.length) { i =>
+        PairDist(pairs(i)._1, pairs(i)._2, col.vectors(col.pairIdx(starts(k) + i)))
+      }))).toArray
+    }
+  }
+
+  /** One column of a [[tables]] call, over its records by position. Its
+    * distinct values are the records with distinct `strs(0)`, coded once.
+    * `pairIdx(i)` indexes pair `i`'s (value of `recs(pairL(i))`, value of
+    * `recs(pairR(i))`) among the column's distinct value pairs, and [[fill]]
+    * computes the vector of each of those once, into `vectors`.
+    */
+  private final class ColumnPairs(recs: Array[Prepped], pairL: Array[Int], pairR: Array[Int], ctx: FeatureContext) {
     private val valueOf = new java.util.HashMap[String, Integer]
     private val values = scala.collection.mutable.ArrayBuffer.empty[Prepped]
-    private def valuesOf(recs: Array[Prepped]): Array[Int] =
-      recs.map(p => valueOf.computeIfAbsent(p.strs(0), _ => { values += p; values.length - 1 }).intValue)
-    private val lVal = valuesOf(ls)
-    private val rVal = if (rs eq ls) lVal else valuesOf(rs)
+    private val recVal = recs.map(p => valueOf.computeIfAbsent(p.strs(0), _ => { values += p; values.length - 1 }).intValue)
     private val coding = new Coding(values, ctx)
     private val coded = values.map(coding(_)).toArray
     private val nv = coded.length.toLong
     val (valuePairs, pairIdx) =
-      SearchData.denseIndex(Array.tabulate(pairL.length)(i => lVal(pairL(i)) * nv + rVal(pairR(i))))
+      SearchData.denseIndex(Array.tabulate(pairL.length)(i => recVal(pairL(i)) * nv + recVal(pairR(i))))
     val vectors = new Array[Array[Float]](valuePairs.length)
 
     def fill(from: Int, until: Int): Unit = {

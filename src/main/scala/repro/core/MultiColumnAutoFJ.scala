@@ -11,12 +11,13 @@ import repro.data.MultiTask
   * Everything runs on the driver, with no Spark job. Blocking runs once on
   * the concatenation of all columns ([[Blocking.block]]); the columns are
   * prepared concurrently, once per distinct value, and the per-column
-  * distance tables of the L–R and of the L–L pairs each come from one
-  * driver-side [[DistanceTable.computeMulti]] call and are aligned by pair
-  * index. [[run]] copies the selection's distances once into column-major
-  * [[SearchData.Tables]], which it drops when it returns, and blends them
-  * per candidate weight vector; candidate weight vectors are evaluated
-  * concurrently on the driver (the search is pure).
+  * distance tables of the L–R and of the L–L pairs come from one
+  * driver-side [[DistanceTable.computeMulti]] call, which codes each column
+  * once for both, and are aligned by pair index. [[run]] lays the
+  * selection's distances out once in column-major [[SearchData.Tables]],
+  * which it drops when it returns, and blends them per candidate weight
+  * vector; candidate weight vectors are evaluated concurrently on the
+  * driver (the search is pure).
   */
 object MultiColumnAutoFJ {
 
@@ -38,8 +39,9 @@ object MultiColumnAutoFJ {
     * execution context: one [[Prepped]] per distinct value, shared by every
     * record that holds it ([[Prepped.interned]]), and the column's
     * [[FeatureContext]] over every record, since IDF counts records.
-    * [[DistanceTable.computeMulti]] then computes one vector per distinct
-    * value pair. Runs no Spark job; `spark` is not read.
+    * [[DistanceTable.computeMulti]] then codes each column once for the
+    * L–R and the L–L pairs and computes one vector per distinct value pair.
+    * Runs no Spark job; `spark` is not read.
     */
   def prepare(spark: SparkSession, task: MultiTask): PreparedMulti = {
     val m = task.nCols
@@ -61,8 +63,7 @@ object MultiColumnAutoFJ {
     val lPrepped = task.left.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(i)) }.toMap
     val rPrepped = task.right.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(nL + i)) }.toMap
     val ctxs = cols.map(_._2)
-    val lrCols = DistanceTable.computeMulti(lrPairs, lPrepped, rPrepped, ctxs)
-    val llCols = DistanceTable.computeMulti(llPairs, lPrepped, lPrepped, ctxs)
+    val (lrCols, llCols) = DistanceTable.computeMulti(lrPairs, llPairs, lPrepped, rPrepped, ctxs)
     PreparedMulti(task.columns, lrCols, llCols)
   }
 
@@ -95,7 +96,7 @@ object MultiColumnAutoFJ {
     implicit val ec: ExecutionContext = ExecutionContext.global
     val selFids = selectionFids.getOrElse(fids)
 
-    // Every selection search reads the same pairs: extract their distances
+    // Every selection search reads the same pairs: lay their distances out
     // once and blend them per weight vector.
     val tables = SearchData.Tables(prepared.lrCols, prepared.llCols, selFids, Array.fill(m)(true))
     def runSearch(w: Array[Double]): AutoFJ.Result =

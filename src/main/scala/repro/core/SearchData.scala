@@ -4,28 +4,52 @@ package repro.core
   * their distances, as consumed by the greedy search.
   *
   * Left records are densely indexed in `lIds`, right records in `rIds`.
-  * `lrDist(fSlot)(pairIdx)` / `llDist(fSlot)(pairIdx)` hold the distance of
-  * the pair under the fSlot-th join function of the searched space (slots
-  * align with the `fids` array handed to the search, not with raw function
-  * ids). Built by [[SearchData.Tables.blend]]; instances blended from the
-  * same tables share their id arrays.
+  * The L–R pairs are grouped by right record: r's pairs sit at
+  * `[lrOff(r), lrOff(r + 1))`, with left record `lrLeft(j)` and distance
+  * `lrDist(fSlot)(j)` under the fSlot-th join function of the searched
+  * space (slots align with the `fids` array handed to the search, not with
+  * raw function ids). The L–L pairs are grouped by left record into balls:
+  * l's ball sits at `[llOff(l), llOff(l + 1))`, with right record
+  * `llRight(j)`. L–L distances are not stored blended; [[llDist]] blends
+  * a range of them on read, since a search reads only the balls around
+  * some r's nearest l. Within a group, pairs keep their input order. Built
+  * by [[SearchData.Tables.blend]]; instances blended from the same tables
+  * share their layout arrays.
   */
-final class SearchData(
+final class SearchData private (
     val lIds: Array[Long],
     val rIds: Array[Long],
+    val lrOff: Array[Int],
     val lrLeft: Array[Int],
-    val lrRight: Array[Int],
     val lrDist: Array[Array[Float]],
-    val llLeft: Array[Int],
+    val llOff: Array[Int],
     val llRight: Array[Int],
-    val llDist: Array[Array[Float]],
+    llTables: Array[Array[Array[Float]]],
+    llWeights: Array[Double],
     val fids: Array[Int],
 ) {
   def nLeft: Int = lIds.length
   def nRight: Int = rIds.length
   def nF: Int = fids.length
   def nLr: Int = lrLeft.length
-  def nLl: Int = llLeft.length
+  def nLl: Int = llRight.length
+
+  /** The distances of the L–L pairs at `[from, until)` (ball order) under
+    * slot `s`, before rounding: `acc(i)` becomes pair `from + i`'s `Double`
+    * sum of w_c · d_c over the non-zero columns in ascending order, starting
+    * from 0.0. Its `toFloat` is the pair's distance (Def. 4.1).
+    */
+  def llDist(s: Int, from: Int, until: Int, acc: Array[Double]): Unit = {
+    val t = llTables(s)
+    java.util.Arrays.fill(acc, 0, until - from, 0.0)
+    var c = 0
+    while (c < t.length) {
+      val w = llWeights(c); val d = t(c)
+      var j = from
+      while (j < until) { acc(j - from) += w * d(j); j += 1 }
+      c += 1
+    }
+  }
 }
 
 object SearchData {
@@ -52,48 +76,49 @@ object SearchData {
   }
 
   /** Aligned per-column distance tables in column-major primitive arrays,
-    * built once and blended under many weight vectors (Algorithm 3 searches
-    * O(m²g) of them over the same pairs).
+    * laid out once and blended under many weight vectors (Algorithm 3
+    * searches O(m²g) of them over the same pairs). The layout does not
+    * depend on the weights.
     *
     * Records are densely indexed in first-seen order: left ids from the L–R
     * pairs' left sides, then both sides of the L–L pairs; right ids from the
-    * L–R pairs. `lr(c)(s)(i)` / `ll(c)(s)(i)` is pair `i`'s distance in
-    * column `c` under the function of slot `s` (`fids(s)`); a column that
-    * was not extracted is `null`.
+    * L–R pairs. The L–R pairs are grouped by dense right id (`lrOff`, the
+    * per-r rows of the nearest-l pass), the L–L pairs by dense left id
+    * (`llOff`, the balls of Eq. 8–9); each group keeps input order.
+    * `lr(c)(s)(j)` / `ll(c)(s)(j)` is the distance of the pair at position
+    * `j` of that layout in column `c` under the function of slot `s`
+    * (`fids(s)`); a column that was not extracted is `null`.
     */
   final class Tables private (
       lIds: Array[Long],
       rIds: Array[Long],
+      lrOff: Array[Int],
       lrLeft: Array[Int],
-      lrRight: Array[Int],
-      llLeft: Array[Int],
+      llOff: Array[Int],
       llRight: Array[Int],
       lr: Array[Array[Array[Float]]],
       ll: Array[Array[Array[Float]]],
       fids: Array[Int],
   ) {
 
-    /** The search input under `weights`: per pair and slot, a `Double` sum of
-      * w_c · d_c over the non-zero columns in ascending order, then rounded
-      * to float. The id arrays are shared with the tables, not copied.
+    /** The search input under `weights`. Every L–R distance is blended here,
+      * per pair and slot a `Double` sum of w_c · d_c over the non-zero
+      * columns in ascending order, then rounded to float; the L–L side keeps
+      * the non-zero columns' tables and weights and blends a pair the same
+      * way when it is read ([[SearchData.llDist]]). The layout arrays are
+      * shared with the tables, not copied.
       */
     def blend(weights: Array[Double]): SearchData = {
       require(weights.length == lr.length, "one weight per column")
       val cols = weights.indices.filter(weights(_) != 0.0).toArray
       require(cols.nonEmpty, "at least one column must have non-zero weight")
       cols.foreach(c => require(lr(c) != null, s"column $c has no table"))
-      new SearchData(lIds, rIds, lrLeft, lrRight, mix(lr, cols, weights),
-                     llLeft, llRight, mix(ll, cols, weights), fids)
-    }
-
-    private def mix(tables: Array[Array[Array[Float]]], cols: Array[Int], weights: Array[Double])
-        : Array[Array[Float]] = {
-      val n = tables(cols(0))(0).length
+      val n = lrLeft.length
       val acc = new Array[Double](n)
-      Array.tabulate(fids.length) { s =>
+      val lrDist = Array.tabulate(fids.length) { s =>
         java.util.Arrays.fill(acc, 0.0)
         cols.foreach { c =>
-          val w = weights(c); val d = tables(c)(s)
+          val w = weights(c); val d = lr(c)(s)
           var i = 0
           while (i < n) { acc(i) += w * d(i); i += 1 }
         }
@@ -102,6 +127,8 @@ object SearchData {
         while (i < n) { out(i) = acc(i).toFloat; i += 1 }
         out
       }
+      new SearchData(lIds, rIds, lrOff, lrLeft, lrDist, llOff, llRight,
+                     Array.tabulate(fids.length)(s => cols.map(ll(_)(s))), cols.map(weights(_)), fids)
     }
   }
 
@@ -130,28 +157,44 @@ object SearchData {
       while (i < nLl) { lSeq(nLr + 2 * i) = ll0(i).leftId; lSeq(nLr + 2 * i + 1) = ll0(i).rightId; i += 1 }
       val (lIds, lIdx) = denseIndex(lSeq)
       val (rIds, lrRight) = denseIndex(lr0.map(_.rightId))
-      val lrLeft = java.util.Arrays.copyOfRange(lIdx, 0, nLr)
-      val llLeft = Array.tabulate(nLl)(i => lIdx(nLr + 2 * i))
-      val llRight = Array.tabulate(nLl)(i => lIdx(nLr + 2 * i + 1))
+      val (lrOff, lrPerm) = groupBy(lrRight, rIds.length)
+      val (llOff, llPerm) = groupBy(Array.tabulate(nLl)(i => lIdx(nLr + 2 * i)), lIds.length)
       // Pair by pair, so each pair's vector is read once for all slots.
-      def extract(pairs: Array[Array[PairDist]]): Array[Array[Array[Float]]] = {
+      def extract(pairs: Array[Array[PairDist]], perm: Array[Int]): Array[Array[Array[Float]]] = {
         val out = new Array[Array[Array[Float]]](m)
         cols.foreach { c =>
           val ps = pairs(c)
           val t = Array.ofDim[Float](fids.length, ps.length)
-          var i = 0
-          while (i < ps.length) {
-            val d = ps(i).d
+          var j = 0
+          while (j < ps.length) {
+            val d = ps(perm(j)).d
             var s = 0
-            while (s < fids.length) { t(s)(i) = d(fids(s)); s += 1 }
-            i += 1
+            while (s < fids.length) { t(s)(j) = d(fids(s)); s += 1 }
+            j += 1
           }
           out(c) = t
         }
         out
       }
-      new Tables(lIds, rIds, lrLeft, lrRight, llLeft, llRight, extract(lrCols), extract(llCols), fids)
+      new Tables(lIds, rIds, lrOff, lrPerm.map(lIdx(_)), llOff, llPerm.map(i => lIdx(nLr + 2 * i + 1)),
+                 extract(lrCols, lrPerm), extract(llCols, llPerm), fids)
     }
+  }
+
+  /** A stable counting sort of positions by `key` (each in `[0, n)`): group
+    * `g` holds positions `perm(off(g))` until `perm(off(g + 1))`, ascending.
+    */
+  private def groupBy(key: Array[Int], n: Int): (Array[Int], Array[Int]) = {
+    val off = new Array[Int](n + 1)
+    var i = 0
+    while (i < key.length) { off(key(i) + 1) += 1; i += 1 }
+    i = 1
+    while (i <= n) { off(i) += off(i - 1); i += 1 }
+    val next = java.util.Arrays.copyOf(off, n)
+    val perm = new Array[Int](key.length)
+    i = 0
+    while (i < key.length) { perm(next(key(i))) = i; next(key(i)) += 1; i += 1 }
+    (off, perm)
   }
 
   /** The distinct values of `ids` in first-seen order, and each element's

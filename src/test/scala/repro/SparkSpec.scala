@@ -1,7 +1,7 @@
 package repro
 
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -18,25 +18,35 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   /** Spark jobs started by `body`, counted once the listener bus has
-    * delivered every event (its `waitUntilEmpty` is Spark-internal, hence
-    * reflection).
+    * delivered every event.
     */
   protected def jobsOf[A](body: => A): (A, Int) = {
+    val (out, jobs, _) = jobsAndTasksOf(body)
+    (out, jobs)
+  }
+
+  /** Spark jobs and tasks started by `body`, counted once the listener bus
+    * has delivered every event (its `waitUntilEmpty` is Spark-internal,
+    * hence reflection).
+    */
+  protected def jobsAndTasksOf[A](body: => A): (A, Int, Int) = {
     val sc = spark.sparkContext
     def drain(): Unit = {
       val bus = sc.getClass.getMethod("listenerBus").invoke(sc)
       bus.getClass.getMethod("waitUntilEmpty").invoke(bus)
     }
     val jobs = new AtomicInteger
+    val tasks = new AtomicInteger
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskStart(e: SparkListenerTaskStart): Unit = tasks.incrementAndGet()
     }
     drain()
     sc.addSparkListener(listener)
     try {
       val out = body
       drain()
-      (out, jobs.get)
+      (out, jobs.get, tasks.get)
     } finally sc.removeSparkListener(listener)
   }
 

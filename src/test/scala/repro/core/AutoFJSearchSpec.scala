@@ -154,7 +154,7 @@ class AutoFJSearchSpec extends AnyFunSuite {
   /** Small random tables: up to 6 left and 8 right records, 1–2 functions,
     * distances on a coarse grid so that ties are common.
     */
-  private val smallData: Gen[SearchData] = for {
+  private val smallTables: Gen[(Array[PairDist], Array[PairDist], Int)] = for {
     nL <- Gen.choose(1, 6)
     nR <- Gen.choose(1, 8)
     nF <- Gen.choose(1, 2)
@@ -163,7 +163,10 @@ class AutoFJSearchSpec extends AnyFunSuite {
     lr <- Gen.sequence[List[PairDist], PairDist](lrKeys.map { case (l, r) => dist.map(PairDist(l, r, _)) })
     llKeys <- Gen.someOf(for (a <- 0 until nL; b <- 0 until nL if a != b) yield (a.toLong, b.toLong))
     ll <- Gen.sequence[List[PairDist], PairDist](llKeys.map { case (a, b) => dist.map(PairDist(a, b, _)) })
-  } yield SearchData.fromSingle(lr.toArray, ll.toArray, fids = (0 until nF).toArray)
+  } yield (lr.toArray, ll.toArray, nF)
+
+  private val smallData: Gen[SearchData] =
+    smallTables.map { case (lr, ll, nF) => SearchData.fromSingle(lr, ll, fids = (0 until nF).toArray) }
 
   test("random tables: results are consistent with their estimates (ScalaCheck)") {
     val thetas = Array(0.05, 0.1, 0.2, 0.3, 0.5)
@@ -181,27 +184,24 @@ class AutoFJSearchSpec extends AnyFunSuite {
     assert(res.passed, Pretty.pretty(res))
   }
 
-  /** rId → (lId, score) by brute force: each program config ⟨f, θ⟩ joins
-    * every r whose nearest l (ties: first dense index) is within θ, at
-    * precision 1 / (1 + #{l' : d_ll(l, l') ≤ (2θ).toFloat}); configs apply
-    * in program order and a later one replaces a join only when it is more
-    * confident.
+  /** rId → (lId, score) by brute force over the input pairs: each program
+    * config ⟨f, θ⟩ joins every r whose nearest l (ties: first seen among the
+    * L–R left sides, then the L–L sides) is within θ, at precision
+    * 1 / (1 + #{l' : d_ll(l, l') ≤ (2θ).toFloat}); configs apply in program
+    * order and a later one replaces a join only when it is more confident.
     */
-  private def bruteForce(d: SearchData, program: Vector[ConfigSpace.JoinConfig]): Map[Long, (Long, Double)] = {
+  private def bruteForce(lr: Array[PairDist], ll: Array[PairDist], program: Vector[ConfigSpace.JoinConfig])
+      : Map[Long, (Long, Double)] = {
+    val seen = (lr.map(_.leftId) ++ ll.flatMap(p => Seq(p.leftId, p.rightId))).distinct
     val out = scala.collection.mutable.Map.empty[Long, (Long, Double)]
     program.foreach { cfg =>
-      val s = d.fids.indexOf(cfg.fId)
-      (0 until d.nRight).foreach { r =>
-        val pairs = (0 until d.nLr).filter(d.lrRight(_) == r)
-        if (pairs.nonEmpty) {
-          val dMin = pairs.map(d.lrDist(s)(_)).min
-          if (dMin <= cfg.theta.toFloat) {
-            val l = pairs.filter(d.lrDist(s)(_) == dMin).map(d.lrLeft(_)).min
-            val ball = (0 until d.nLl).count(i => d.llLeft(i) == l && d.llDist(s)(i) <= (2.0 * cfg.theta).toFloat)
-            val p = 1.0 / (1 + ball)
-            val rid = d.rIds(r)
-            if (out.get(rid).forall(p > _._2)) out(rid) = (d.lIds(l), p)
-          }
+      lr.groupBy(_.rightId).foreach { case (rid, pairs) =>
+        val dMin = pairs.map(_.d(cfg.fId)).min
+        if (dMin <= cfg.theta.toFloat) {
+          val l = pairs.filter(_.d(cfg.fId) == dMin).map(_.leftId).minBy(seen.indexOf(_))
+          val ball = ll.count(p => p.leftId == l && p.d(cfg.fId) <= (2.0 * cfg.theta).toFloat)
+          val p = 1.0 / (1 + ball)
+          if (out.get(rid).forall(p > _._2)) out(rid) = (l, p)
         }
       }
     }
@@ -210,14 +210,74 @@ class AutoFJSearchSpec extends AnyFunSuite {
 
   test("random tables: every score is the brute-force 2θ-ball estimate of its join (ScalaCheck)") {
     val thetas = Array(0.05, 0.1, 0.2, 0.3, 0.5)
-    val prop = Prop.forAll(smallData, Gen.oneOf(0.0, 0.57, 0.83)) { (d, tau) =>
+    val prop = Prop.forAll(smallTables, Gen.oneOf(0.0, 0.57, 0.83)) { case ((lr, ll, nF), tau) =>
+      val d = SearchData.fromSingle(lr, ll, fids = (0 until nF).toArray)
       Seq(AutoFJ.search(d, thetas, tau), AutoFJ.searchOneConfig(d, thetas, tau)).forall { res =>
-        val want = bruteForce(d, res.program)
+        val want = bruteForce(lr, ll, res.program)
         res.assignment == want.map { case (r, (l, _)) => r -> l } &&
           res.scores == want.map { case (r, (_, p)) => r -> p }
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  /** θ grids the ball counts must handle: uniform, non-uniform, with
+    * repeated steps, and with steps whose 2θ rounds to a float above or
+    * below the double.
+    */
+  private val grids: Gen[Array[Double]] = {
+    val sensitive = Gen.oneOf(0.05, 0.1, 1.0 / 3, 0.15, 0.35, 0.45, 0.3, 1e-8, 0.5)
+    val step = Gen.frequency(3 -> Gen.choose(0.0, 0.6), 2 -> sensitive)
+    Gen.oneOf(
+      Gen.choose(1, 50).map(ConfigSpace.thresholds(_)),
+      Gen.choose(1, 12).flatMap(Gen.listOfN(_, step)).map(_.sorted.toArray),
+      Gen.choose(1, 6).flatMap(Gen.listOfN(_, step)).map(ts => (ts ++ ts).sorted.toArray))
+  }
+
+  /** A grid, 1–3 columns of L–L pairs over up to 6 left records whose
+    * distances often sit on a radius (2θ).toFloat or one float from it,
+    * columns that repeat column 0's vectors or draw their own, weights
+    * with zeros, and the function slots.
+    */
+  private val ballCases = for {
+    thetas <- grids
+    onRadius = Gen.oneOf(thetas.toSeq).map(t => (2.0 * t).toFloat)
+      .flatMap(r => Gen.oneOf(r, Math.nextUp(r), Math.nextDown(r)))
+    dist = Gen.frequency(3 -> onRadius, 1 -> Gen.choose(0f, 1.2f), 1 -> Gen.oneOf(0f, 1f))
+    vec = Gen.listOfN(2, dist).map(_.toArray)
+    m <- Gen.choose(1, 3)
+    nL <- Gen.choose(1, 6)
+    keys <- Gen.someOf(for (a <- 0 until nL; b <- 0 until nL if a != b) yield (a.toLong, b.toLong))
+    col0 <- Gen.listOfN(keys.size, vec)
+    rest <- Gen.listOfN(m - 1, Gen.sequence[List[Array[Float]], Array[Float]](
+      col0.map(v => Gen.oneOf(Gen.const(v), vec))))
+    w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.0, 1.0, 0.5, 0.25, 1.0 / 3, 0.7))
+    fids <- Gen.oneOf(Seq(Array(0, 1), Array(1, 0), Array(1)))
+  } yield {
+    val ll = (col0 :: rest).map(vs => keys.toArray.zip(vs).map { case ((a, b), v) => PairDist(a, b, v) }).toArray
+    val lr = Array.fill(m)(Array.tabulate(nL)(l => PairDist(l.toLong, 100L + l, Array(0f, 0f))))
+    (thetas, lr, ll, (if (w.forall(_ == 0.0)) 1.0 :: w.tail else w).toArray, fids)
+  }
+
+  test("ball counts equal 1 + #{d <= (2θ).toFloat} over the blended L-L pairs (ScalaCheck)") {
+    val prop = Prop.forAll(ballCases) { case (thetas, lr, ll, w, fids) =>
+      val data = SearchData.fromColumns(lr, ll, fids, w)
+      val counts = new AutoFJ.BallCounts(data, thetas)
+      fids.indices.forall { s =>
+        counts.count(s, Array.tabulate(2 * data.nLeft)(_ % data.nLeft))
+        data.lIds.indices.forall { l =>
+          // The blend of Def. 4.1, from the input pairs.
+          val ds = ll(0).indices.filter(i => ll(0)(i).leftId == data.lIds(l)).map { i =>
+            var acc = 0.0
+            w.indices.foreach(c => if (w(c) != 0.0) acc += w(c) * ll(c)(i).d(fids(s)))
+            acc.toFloat
+          }
+          thetas.indices.forall(k => counts(l, k) == 1 + ds.count(_ <= (2.0 * thetas(k)).toFloat))
+        }
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
     assert(res.passed, Pretty.pretty(res))
   }
 }

@@ -96,9 +96,10 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     val prog = FuzzyJoinProgram(res.program, prepared.rules)
     val left = SingleColumnPipeline.toDF(spark, task.left)
     val right = SingleColumnPipeline.toDF(spark, task.right)
-    val (rows, jobs) = jobsOf(prog(spark, left, right).collect()
+    val (rows, jobs, tasks) = jobsAndTasksOf(prog(spark, left, right).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted.toSeq)
     assert(jobs == 1, "one collect of L and R; probe, distances and the result frame are local")
+    assert(tasks == 1, "L and R are read by one task, with no shuffle")
 
     // What apply computed before it probed R alone: full blocking, records
     // and rules by string, then the first config in program order wins.

@@ -8,6 +8,15 @@ class SearchDataSpec extends AnyFunSuite {
 
   private def pd(l: Long, r: Long, ds: Double*) = PairDist(l, r, ds.map(_.toFloat).toArray)
 
+  /** The L–L distances at `[from, until)` under slot `s`, rounded. */
+  private def llRange(d: SearchData, s: Int, from: Int, until: Int): Seq[Float] = {
+    val acc = new Array[Double](until - from)
+    d.llDist(s, from, until, acc)
+    acc.toSeq.map(_.toFloat)
+  }
+
+  private def llAt(d: SearchData, s: Int, j: Int): Float = llRange(d, s, j, j + 1).head
+
   test("fromSingle builds dense indices and per-slot distance arrays") {
     val lr = Array(pd(10, 100, 0.1, 0.2), pd(11, 100, 0.3, 0.4))
     val ll = Array(pd(10, 11, 0.5, 0.6), pd(11, 10, 0.5, 0.6))
@@ -24,7 +33,7 @@ class SearchDataSpec extends AnyFunSuite {
     val d = SearchData.fromSingle(lr, ll, fids = Array(2))
     assert(d.nF == 1)
     assert(d.lrDist(0)(0) == 0.3f)
-    assert(d.llDist(0)(0) == 0.7f)
+    assert(llAt(d, 0, 0) == 0.7f)
   }
 
   test("fromColumns combines distances with the weight vector (Def. 4.1)") {
@@ -35,7 +44,7 @@ class SearchDataSpec extends AnyFunSuite {
     val d = SearchData.fromColumns(Array(lrA, lrB), Array(llA, llB),
       fids = Array(0), weights = Array(0.5, 0.5))
     assert(math.abs(d.lrDist(0)(0) - 0.4f) < 1e-6)
-    assert(math.abs(d.llDist(0)(0) - 0.6f) < 1e-6)
+    assert(math.abs(llAt(d, 0, 0) - 0.6f) < 1e-6)
   }
 
   test("fromColumns skips zero-weight columns entirely") {
@@ -71,16 +80,30 @@ class SearchDataSpec extends AnyFunSuite {
     assert(d.lIds.toSet == Set(10L, 11L, 12L))
   }
 
+  /** What a [[SearchData]] holds, as plain arrays. */
+  private final case class Layout(
+      lIds: Seq[Long], rIds: Seq[Long],
+      lrOff: Seq[Int], lrLeft: Seq[Int], lrDist: Seq[Seq[Int]],
+      llOff: Seq[Int], llRight: Seq[Int], llDist: Seq[Seq[Int]], fids: Seq[Int])
+
+  private def bits(f: Float): Int = java.lang.Float.floatToRawIntBits(f)
+
+  private def layout(d: SearchData): Layout = Layout(d.lIds.toSeq, d.rIds.toSeq,
+    d.lrOff.toSeq, d.lrLeft.toSeq, d.lrDist.map(_.map(bits).toSeq).toSeq,
+    d.llOff.toSeq, d.llRight.toSeq, Seq.tabulate(d.nF)(llRange(d, _, 0, d.nLl).map(bits)), d.fids.toSeq)
+
   /** The per-pair combine `fromColumns` had before the column-major tables:
     * boxed id maps, and per pair and slot a `Double` sum over the non-zero
-    * columns in ascending order, read through `PairDist.d`.
+    * columns in ascending order, read through `PairDist.d`. The L–R pairs
+    * are then grouped by right record and the L–L pairs by left record,
+    * each group in input order.
     */
   private def reference(
       lrCols: Array[Array[PairDist]],
       llCols: Array[Array[PairDist]],
       fids: Array[Int],
       weights: Array[Double],
-  ): SearchData = {
+  ): Layout = {
     val cols = lrCols.indices.filter(c => weights(c) != 0.0).toArray
     val lIdSet = new scala.collection.mutable.LinkedHashSet[Long]
     lrCols(0).foreach(p => lIdSet += p.leftId)
@@ -91,41 +114,25 @@ class SearchDataSpec extends AnyFunSuite {
     lrCols(0).foreach(p => rIdSet += p.rightId)
     val rIds = rIdSet.toArray
     val rIdx = rIds.zipWithIndex.toMap
-    def combine(colPairs: Array[Array[PairDist]]): (Array[Int], Array[Array[Float]]) = {
-      val n = colPairs(0).length
-      val left = new Array[Int](n)
-      val dist = Array.ofDim[Float](fids.length, n)
-      var i = 0
-      while (i < n) {
-        left(i) = lIdx(colPairs(0)(i).leftId)
-        var s = 0
-        while (s < fids.length) {
-          var acc = 0.0
-          var ci = 0
-          while (ci < cols.length) {
-            val c = cols(ci)
-            acc += weights(c) * colPairs(c)(i).d(fids(s))
-            ci += 1
-          }
-          dist(s)(i) = acc.toFloat
-          s += 1
-        }
-        i += 1
+    def combine(colPairs: Array[Array[PairDist]], i: Int, s: Int): Int = {
+      var acc = 0.0
+      var ci = 0
+      while (ci < cols.length) {
+        val c = cols(ci)
+        acc += weights(c) * colPairs(c)(i).d(fids(s))
+        ci += 1
       }
-      (left, dist)
+      bits(acc.toFloat)
     }
-    val (lrL, lrD) = combine(lrCols)
-    val (llL, llD) = combine(llCols)
-    new SearchData(lIds, rIds, lrL, lrCols(0).map(p => rIdx(p.rightId)), lrD,
-      llL, llCols(0).map(p => lIdx(p.rightId)), llD, fids)
-  }
-
-  private def sameBits(a: SearchData, b: SearchData): Boolean = {
-    def bits(t: Array[Array[Float]]) = t.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq
-    a.lIds.sameElements(b.lIds) && a.rIds.sameElements(b.rIds) &&
-      a.lrLeft.sameElements(b.lrLeft) && a.lrRight.sameElements(b.lrRight) &&
-      a.llLeft.sameElements(b.llLeft) && a.llRight.sameElements(b.llRight) &&
-      bits(a.lrDist) == bits(b.lrDist) && bits(a.llDist) == bits(b.llDist) && a.fids.sameElements(b.fids)
+    def grouped(colPairs: Array[Array[PairDist]], group: PairDist => Int, n: Int) = {
+      val order = colPairs(0).indices.sortBy(i => group(colPairs(0)(i)))
+      val off = (0 to n).map(g => colPairs(0).count(p => group(p) < g))
+      (order, off, fids.indices.map(s => order.map(combine(colPairs, _, s))))
+    }
+    val (lrOrder, lrOff, lrDist) = grouped(lrCols, p => rIdx(p.rightId), rIds.length)
+    val (llOrder, llOff, llDist) = grouped(llCols, p => lIdx(p.leftId), lIds.length)
+    Layout(lIds.toSeq, rIds.toSeq, lrOff, lrOrder.map(i => lIdx(lrCols(0)(i).leftId)), lrDist,
+      llOff, llOrder.map(i => lIdx(llCols(0)(i).rightId)), llDist, fids.toSeq)
   }
 
   /** 1–4 aligned columns of random pairs over a few ids (repeats allowed),
@@ -150,7 +157,7 @@ class SearchDataSpec extends AnyFunSuite {
       val tables = SearchData.Tables(lr, ll, fids, Array.fill(lr.length)(true))
       weights.forall { w =>
         val want = reference(lr, ll, fids, w)
-        sameBits(SearchData.fromColumns(lr, ll, fids, w), want) && sameBits(tables.blend(w), want)
+        layout(SearchData.fromColumns(lr, ll, fids, w)) == want && layout(tables.blend(w)) == want
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
