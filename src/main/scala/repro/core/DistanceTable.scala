@@ -7,7 +7,10 @@ import repro.embed.HashEmbedding
 
 /** Per-record structures all 140 join functions read from: the four
   * preprocessed strings, the eight token sets (P × T), and the four
-  * embedding vectors (P).
+  * embedding vectors (P). A [[Prepped.apply]] record builds each distinct
+  * variant once: a variant whose string equals an earlier one's shares that
+  * one's `String`, token arrays and embedding by reference. All fields are
+  * read-only.
   */
 final case class Prepped(
     strs: Array[String],
@@ -20,17 +23,20 @@ object Prepped {
   def apply(raw: String): Prepped = {
     val strs = Preprocess.allVariants(Option(raw).getOrElse(""))
     val toks = new Array[Array[String]](ConfigSpace.NumPreproc * ConfigSpace.NumTok)
+    val emb = new Array[Array[Float]](ConfigSpace.NumPreproc)
     var p = 0
     while (p < ConfigSpace.NumPreproc) {
+      val q = strs.indexOf(strs(p))
+      strs(p) = strs(q)
       var t = 0
       while (t < ConfigSpace.NumTok) {
-        toks(p * ConfigSpace.NumTok + t) = Tokenize(t, strs(p))
+        val pt = p * ConfigSpace.NumTok + t
+        toks(pt) = if (q < p) toks(q * ConfigSpace.NumTok + t) else Tokenize(t, strs(p))
         t += 1
       }
+      // The embedding's words are the variant's space tokens (T = 1).
+      emb(p) = if (q < p) emb(q) else HashEmbedding.recordVector(toks(p * ConfigSpace.NumTok + 1), _ => 1.0)
       p += 1
-    }
-    val emb = Array.tabulate(ConfigSpace.NumPreproc) { pp =>
-      HashEmbedding.recordVector(Tokenize.space(strs(pp)), _ => 1.0)
     }
     Prepped(strs, toks, emb)
   }
@@ -60,9 +66,17 @@ object Prepped {
 final class FeatureContext(val idfs: Array[TokenWeights])
 
 object FeatureContext {
+  /** A (P, T) combo whose token arrays are, record by record, the same
+    * arrays as an earlier combo's with the same T shares that one's table.
+    */
   def build(corpus: Iterable[Prepped]): FeatureContext = {
     val n = ConfigSpace.NumPreproc * ConfigSpace.NumTok
-    val idfs = Array.tabulate(n)(pt => TokenWeights.idf(corpus.view.map(_.toks(pt))))
+    val idfs = new Array[TokenWeights](n)
+    (0 until n).foreach { pt =>
+      val earlier = (pt % ConfigSpace.NumTok until pt by ConfigSpace.NumTok)
+        .find(q => corpus.forall(r => r.toks(q) eq r.toks(pt)))
+      idfs(pt) = earlier.fold(TokenWeights.idf(corpus.view.map(_.toks(pt))))(idfs(_))
+    }
     new FeatureContext(idfs)
   }
 }
@@ -92,7 +106,9 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   * needs one merge over ints per (P, T), which yields the equal-weight and
   * the IDF set statistics together
   * ([[Distances.setStatsIds]]), with the same sums, in the same order, as
-  * merging the token strings.
+  * merging the token strings. A preprocessing variant that coincides with
+  * an earlier one on every value of the column, with bit-equal IDF arrays,
+  * shares that one's coding and gets a copy of its 35 distances.
   *
   * Order contract: row `i` of every returned table is the `i`-th input
   * pair (for a frame, the `i`-th row of `pairs.collect()`), so the tables of
@@ -112,22 +128,60 @@ object DistanceTable {
     * distinct tokens sorted as strings, so ascending ids are string order,
     * and `idf(pt)(id)` is the token's weight under `ctx`. Tokens `ctx` has
     * not seen get its unseen-token weight.
+    *
+    * Variant p is the same as an earlier variant q when every record's
+    * string, token sets and embedding under p equal those under q; then p
+    * reuses q's dictionaries and coded ids. If p's IDF arrays are also
+    * bit-equal to q's for both tokenizers, `alias(p)` is q: every one of
+    * p's 35 distances equals q's on every pair of these records, so
+    * [[vector]] copies them. Otherwise `alias(p)` is p.
     */
   private final class Coding(records: Iterable[Prepped], ctx: FeatureContext) {
+    private val same = Array.tabulate(ConfigSpace.NumPreproc) { p =>
+      (0 to p).find(q => records.forall(sameVariant(_, q, p))).get
+    }
+    private def source(pt: Int): Int = same(pt / ConfigSpace.NumTok) * ConfigSpace.NumTok + pt % ConfigSpace.NumTok
+    private val dicts: Array[Array[String]] = new Array(NumPT)
     private val ids: Array[java.util.HashMap[String, Integer]] = new Array(NumPT)
     val idf: Array[Array[Double]] = Array.tabulate(NumPT) { pt =>
-      val seen = new java.util.HashSet[String]
-      records.foreach(_.toks(pt).foreach(seen.add))
-      val dict = seen.toArray(new Array[String](0)).sorted
-      val id = new java.util.HashMap[String, Integer](dict.length * 2)
-      dict.indices.foreach(i => id.put(dict(i), i))
-      ids(pt) = id
-      dict.map(ctx.idfs(pt)(_))
+      val src = source(pt)
+      if (src < pt) { dicts(pt) = dicts(src); ids(pt) = ids(src) }
+      else {
+        val seen = new java.util.HashSet[String]
+        records.foreach(_.toks(pt).foreach(seen.add))
+        val dict = seen.toArray(new Array[String](0)).sorted
+        val id = new java.util.HashMap[String, Integer](dict.length * 2)
+        dict.indices.foreach(i => id.put(dict(i), i))
+        dicts(pt) = dict; ids(pt) = id
+      }
+      dicts(pt).map(ctx.idfs(pt)(_))
+    }
+    val alias: Array[Int] = Array.tabulate(ConfigSpace.NumPreproc) { p =>
+      (0 to p).find { q =>
+        same(q) == same(p) && (0 until ConfigSpace.NumTok).forall { t =>
+          java.util.Arrays.equals(idf(q * ConfigSpace.NumTok + t), idf(p * ConfigSpace.NumTok + t))
+        }
+      }.get
     }
 
-    def apply(p: Prepped): Coded =
-      new Coded(p, Array.tabulate(NumPT)(pt => p.toks(pt).map(t => ids(pt).get(t).intValue)))
+    def apply(rec: Prepped): Coded = {
+      val toks = new Array[Array[Int]](NumPT)
+      var pt = 0
+      while (pt < NumPT) {
+        val src = source(pt)
+        toks(pt) = if (src < pt) toks(src) else rec.toks(pt).map(t => ids(pt).get(t).intValue)
+        pt += 1
+      }
+      new Coded(rec, toks)
+    }
   }
+
+  private def sameVariant(rec: Prepped, q: Int, p: Int): Boolean =
+    rec.strs(q) == rec.strs(p) && java.util.Arrays.equals(rec.emb(q), rec.emb(p)) &&
+      (0 until ConfigSpace.NumTok).forall { t =>
+        java.util.Arrays.equals(rec.toks(q * ConfigSpace.NumTok + t).asInstanceOf[Array[AnyRef]],
+                                rec.toks(p * ConfigSpace.NumTok + t).asInstanceOf[Array[AnyRef]])
+      }
 
   /** All 140 distances between a left and a right record (order: function
     * id). Asymmetric functions (Contain-*) treat `l` as the reference side.
@@ -135,10 +189,16 @@ object DistanceTable {
     */
   def vector(l: Prepped, r: Prepped, ctx: FeatureContext): Array[Float] = {
     val coding = new Coding(Seq(l, r), ctx)
-    vector(coding(l), coding(r), coding.idf)
+    vector(coding(l), coding(r), coding)
   }
 
-  private def vector(l: Coded, r: Coded, idf: Array[Array[Double]]): Array[Float] = {
+  /** Variant p's slots are three contiguous runs: `CharRun` from
+    * `charId(p, 0)`, `SetRun` from `setId(p, 0, 0, 0)` and `embedId(p)`.
+    */
+  private val CharRun = ConfigSpace.NumCharDist
+  private val SetRun = ConfigSpace.NumTok * ConfigSpace.NumWeight * ConfigSpace.NumSetDist
+
+  private def vector(l: Coded, r: Coded, coding: Coding): Array[Float] = {
     val out = new Array[Float](ConfigSpace.Size)
     val ls = l.rec.strs; val rs = r.rec.strs
     // Missing-value convention of §5.2.2: missing values are empty strings
@@ -149,25 +209,32 @@ object DistanceTable {
     }
     var p = 0
     while (p < ConfigSpace.NumPreproc) {
-      // Character-based.
-      out(ConfigSpace.charId(p, 0)) = Distances.jaroWinkler(ls(p), rs(p)).toFloat
-      out(ConfigSpace.charId(p, 1)) = Distances.editDistance(ls(p), rs(p)).toFloat
-      // Set-based: one merge per (P, T) gives both weightings' statistics,
-      // eight distances each (weighting 0 = EW, 1 = IDFW).
-      var t = 0
-      while (t < ConfigSpace.NumTok) {
-        val pt = p * ConfigSpace.NumTok + t
-        val (ew, iw) = Distances.setStatsIds(l.toks(pt), r.toks(pt), idf(pt))
-        var d = 0
-        while (d < ConfigSpace.NumSetDist) {
-          out(ConfigSpace.setId(p, t, 0, d)) = Distances.setDistance(d, ew).toFloat
-          out(ConfigSpace.setId(p, t, 1, d)) = Distances.setDistance(d, iw).toFloat
-          d += 1
+      val q = coding.alias(p)
+      if (q < p) {
+        System.arraycopy(out, ConfigSpace.charId(q, 0), out, ConfigSpace.charId(p, 0), CharRun)
+        System.arraycopy(out, ConfigSpace.setId(q, 0, 0, 0), out, ConfigSpace.setId(p, 0, 0, 0), SetRun)
+        out(ConfigSpace.embedId(p)) = out(ConfigSpace.embedId(q))
+      } else {
+        // Character-based.
+        out(ConfigSpace.charId(p, 0)) = Distances.jaroWinkler(ls(p), rs(p)).toFloat
+        out(ConfigSpace.charId(p, 1)) = Distances.editDistance(ls(p), rs(p)).toFloat
+        // Set-based: one merge per (P, T) gives both weightings' statistics,
+        // eight distances each (weighting 0 = EW, 1 = IDFW).
+        var t = 0
+        while (t < ConfigSpace.NumTok) {
+          val pt = p * ConfigSpace.NumTok + t
+          val (ew, iw) = Distances.setStatsIds(l.toks(pt), r.toks(pt), coding.idf(pt))
+          var d = 0
+          while (d < ConfigSpace.NumSetDist) {
+            out(ConfigSpace.setId(p, t, 0, d)) = Distances.setDistance(d, ew).toFloat
+            out(ConfigSpace.setId(p, t, 1, d)) = Distances.setDistance(d, iw).toFloat
+            d += 1
+          }
+          t += 1
         }
-        t += 1
+        // Embedding-based.
+        out(ConfigSpace.embedId(p)) = HashEmbedding.cosineDistance(l.rec.emb(p), r.rec.emb(p)).toFloat
       }
-      // Embedding-based.
-      out(ConfigSpace.embedId(p)) = HashEmbedding.cosineDistance(l.rec.emb(p), r.rec.emb(p)).toFloat
       p += 1
     }
     out
@@ -258,7 +325,7 @@ object DistanceTable {
       var k = from
       while (k < until) {
         val vp = valuePairs(k)
-        vectors(k) = vector(coded((vp / nv).toInt), coded((vp % nv).toInt), coding.idf)
+        vectors(k) = vector(coded((vp / nv).toInt), coded((vp % nv).toInt), coding)
         k += 1
       }
     }

@@ -14,8 +14,90 @@ object Distances {
 
   // ---------------------------------------------------------------- char
 
-  /** Levenshtein distance (unit costs). */
+  /** Levenshtein distance (unit costs) over UTF-16 chars. When the shorter
+    * string has at most 64 chars, all ASCII, it is the pattern of Myers'
+    * bit-vector algorithm in Hyyrö's form (one `Long` per DP column, a few
+    * word operations per char of the longer string); otherwise
+    * [[levenshteinDP]] computes the same integer.
+    */
   def levenshtein(a: String, b: String): Int = {
+    if (a == b) return 0
+    val pat = if (a.length <= b.length) a else b
+    val text = if (pat eq a) b else a
+    if (pat.isEmpty) return text.length
+    if (pat.length <= 64) {
+      val d = myers(pat, text)
+      if (d >= 0) return d
+    }
+    levenshteinDP(a, b)
+  }
+
+  /** Per thread, the match masks of [[myers]] and [[jaroBits]] by ASCII
+    * char: bit i of `peq(c)` is set iff the masked string's char i is c.
+    * All zero between calls.
+    */
+  private val matchMasks = ThreadLocal.withInitial[Array[Long]](() => new Array[Long](128))
+
+  /** Sets bit i of `peq(c)` for each char c at i of `s` (at most 64 chars)
+    * and returns true; at a non-ASCII char, clears what it set and returns
+    * false.
+    */
+  private def setMasks(peq: Array[Long], s: String): Boolean = {
+    var i = 0
+    while (i < s.length) {
+      val c = s.charAt(i)
+      if (c >= 128) { clearMasks(peq, s, i); return false }
+      peq(c) |= 1L << i
+      i += 1
+    }
+    true
+  }
+
+  /** Zeroes the masks of the first `n` chars of `s`. */
+  private def clearMasks(peq: Array[Long], s: String, n: Int): Unit = {
+    var i = 0
+    while (i < n) { peq(s.charAt(i)) = 0L; i += 1 }
+  }
+
+  /** Hyyrö's (2001) global form of Myers' recurrence: `pv`/`mv` hold the
+    * +1/−1 vertical deltas of the current DP column, bit i for pattern row
+    * i + 1, and `score` tracks the last row. `pat` is non-empty and at
+    * most 64 chars; the result is −1 if it holds a non-ASCII char. A
+    * non-ASCII char of `text` matches nothing.
+    */
+  private def myers(pat: String, text: String): Int = {
+    val peq = matchMasks.get
+    if (!setMasks(peq, pat)) return -1
+    val m = pat.length
+    val last = 1L << (m - 1)
+    var pv = -1L
+    var mv = 0L
+    var score = m
+    var j = 0
+    while (j < text.length) {
+      val c = text.charAt(j)
+      val eq = if (c < 128) peq(c) else 0L
+      val xv = eq | mv
+      val xh = (((eq & pv) + pv) ^ pv) | eq
+      var ph = mv | ~(xh | pv)
+      var mh = pv & xh
+      if ((ph & last) != 0) score += 1
+      else if ((mh & last) != 0) score -= 1
+      // Row 0 of the DP is j, so its horizontal delta is always +1.
+      ph = (ph << 1) | 1L
+      mh = mh << 1
+      pv = mh | ~(xv | ph)
+      mv = ph & xv
+      j += 1
+    }
+    clearMasks(peq, pat, m)
+    score
+  }
+
+  /** Levenshtein distance by the O(|a|·|b|) dynamic program, for any
+    * strings; the reference the bit-parallel path is tested against.
+    */
+  private[core] def levenshteinDP(a: String, b: String): Int = {
     if (a == b) return 0
     if (a.isEmpty) return b.length
     if (b.isEmpty) return a.length
@@ -43,8 +125,69 @@ object Distances {
     if (m == 0) 0.0 else levenshtein(a, b).toDouble / m
   }
 
-  /** Jaro similarity. */
+  /** Jaro similarity: each char of `a` in turn matches the first unmatched
+    * equal char of `b` within the window. When `b` has at most 64 chars, all
+    * ASCII, [[jaroBits]] does this on bit masks; otherwise [[jaroScan]]
+    * scans the window. Both give the same double.
+    */
   def jaro(a: String, b: String): Double = {
+    if (a == b) return 1.0
+    if (a.isEmpty || b.isEmpty) return 0.0
+    if (b.length <= 64) {
+      val sim = jaroBits(a, b)
+      if (sim >= 0.0) return sim
+    }
+    jaroScan(a, b)
+  }
+
+  /** Per thread, the chars of `a` that [[jaroBits]] matched, in order. */
+  private val matchedChars = ThreadLocal.withInitial[Array[Char]](() => new Array[Char](64))
+
+  /** [[jaroScan]] with `b`'s matched chars as a bit mask: char i of `a`
+    * takes the lowest set bit of (its match mask, not yet matched, inside
+    * the window). `a` and `b` are non-empty and `b` is at most 64 chars;
+    * the result is −1 if `b` holds a non-ASCII char. A non-ASCII char of
+    * `a` matches nothing.
+    */
+  private def jaroBits(a: String, b: String): Double = {
+    val la = a.length; val lb = b.length
+    val peq = matchMasks.get
+    if (!setMasks(peq, b)) return -1.0
+    val matchWindow = math.max(0, math.max(la, lb) / 2 - 1)
+    val aChars = matchedChars.get
+    var bMatched = 0L
+    var matches = 0
+    var i = 0
+    // From i = lb + matchWindow on, the window lies past b's end.
+    val end = math.min(la, lb + matchWindow)
+    while (i < end) {
+      val c = a.charAt(i)
+      if (c < 128) {
+        val lo = math.max(0, i - matchWindow)
+        val hi = math.min(lb - 1, i + matchWindow)
+        val free = peq(c) & ~bMatched & (-1L >>> (63 - hi)) & (-1L << lo)
+        if (free != 0) { bMatched |= free & -free; aChars(matches) = c; matches += 1 }
+      }
+      i += 1
+    }
+    clearMasks(peq, b, lb)
+    if (matches == 0) return 0.0
+    var transpositions = 0
+    var k = 0
+    var rest = bMatched
+    while (rest != 0) {
+      if (aChars(k) != b.charAt(java.lang.Long.numberOfTrailingZeros(rest))) transpositions += 1
+      k += 1
+      rest &= rest - 1
+    }
+    val m = matches.toDouble
+    (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0
+  }
+
+  /** Jaro similarity by scanning each window, for any strings; the
+    * reference the bit-mask path is tested against.
+    */
+  private[core] def jaroScan(a: String, b: String): Double = {
     if (a == b) return 1.0
     val la = a.length; val lb = b.length
     if (la == 0 || lb == 0) return 0.0

@@ -16,8 +16,8 @@ import repro.data.MultiTask
   * once for both, and are aligned by pair index. [[run]] lays the
   * selection's distances out once in column-major [[SearchData.Tables]],
   * which it drops when it returns, and blends them per candidate weight
-  * vector; candidate weight vectors are evaluated concurrently on the
-  * driver (the search is pure).
+  * vector; the final search reuses that layout. Candidate weight vectors
+  * are evaluated concurrently on the driver (the search is pure).
   */
 object MultiColumnAutoFJ {
 
@@ -137,13 +137,11 @@ object MultiColumnAutoFJ {
       } else continue = false
     }
 
-    // Final program: full function space under the selected weights.
+    // Final program: full function space under the selected weights, on
+    // the selection's layout with only the non-zero columns extracted.
     val finalResult =
       if (selFids.sameElements(fids)) bestResult
-      else {
-        val data = SearchData.fromColumns(prepared.lrCols, prepared.llCols, fids, w)
-        AutoFJ.search(data, thetas, tau, gt, gtTotal)
-      }
+      else AutoFJ.search(tables.withSlots(fids, w.map(_ != 0.0)).blend(w), thetas, tau, gt, gtTotal)
     MultiResult(finalResult, w, selected)
   }
 }

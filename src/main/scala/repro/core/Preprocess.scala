@@ -48,9 +48,16 @@ object Preprocess {
     case other => throw new IllegalArgumentException(s"no preprocessing combo $other")
   }
 
-  /** All four preprocessed variants of `s`, indexed by combo. */
-  def allVariants(s: String): Array[String] =
-    Array(apply(0, s), apply(1, s), apply(2, s), apply(3, s))
+  /** All four preprocessed variants of `s`, indexed by combo: `apply(p, s)`
+    * at each `p`, lower-casing once and stemming once when removing
+    * punctuation changes nothing.
+    */
+  def allVariants(s: String): Array[String] = {
+    val l = lower(s)
+    val ls = stem(l)
+    val lrp = removePunct(l)
+    Array(l, ls, lrp, if (lrp == l) ls else stem(lrp))
+  }
 }
 
 /** A small deterministic Porter-style stemmer (steps 1a/1b plus common

@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+
 /** Driver-side, struct-of-arrays view of the blocked candidate pairs and
   * their distances, as consumed by the greedy search.
   *
@@ -87,7 +90,8 @@ object SearchData {
     * (`llOff`, the balls of Eq. 8–9); each group keeps input order.
     * `lr(c)(s)(j)` / `ll(c)(s)(j)` is the distance of the pair at position
     * `j` of that layout in column `c` under the function of slot `s`
-    * (`fids(s)`); a column that was not extracted is `null`.
+    * (`fids(s)`); a column that was not extracted is `null`. Position `j`
+    * holds input pair `lrPerm(j)` / `llPerm(j)` of `lrCols` / `llCols`.
     */
   final class Tables private (
       lIds: Array[Long],
@@ -96,6 +100,10 @@ object SearchData {
       lrLeft: Array[Int],
       llOff: Array[Int],
       llRight: Array[Int],
+      lrCols: Array[Array[PairDist]],
+      llCols: Array[Array[PairDist]],
+      lrPerm: Array[Int],
+      llPerm: Array[Int],
       lr: Array[Array[Array[Float]]],
       ll: Array[Array[Array[Float]]],
       fids: Array[Int],
@@ -130,6 +138,15 @@ object SearchData {
       new SearchData(lIds, rIds, lrOff, lrLeft, lrDist, llOff, llRight,
                      Array.tabulate(fids.length)(s => cols.map(ll(_)(s))), cols.map(weights(_)), fids)
     }
+
+    /** Tables of the same pairs in this layout, for the function slots
+      * `slotFids` of the columns `use` selects: only the distances are
+      * extracted again, the dense ids and groupings are shared.
+      */
+    def withSlots(slotFids: Array[Int], use: Array[Boolean]): Tables = {
+      val (lr, ll) = Tables.extract(lrCols, llCols, lrPerm, llPerm, slotFids, use)
+      new Tables(lIds, rIds, lrOff, lrLeft, llOff, llRight, lrCols, llCols, lrPerm, llPerm, lr, ll, slotFids)
+    }
   }
 
   object Tables {
@@ -143,11 +160,9 @@ object SearchData {
         fids: Array[Int],
         use: Array[Boolean],
     ): Tables = {
-      val m = lrCols.length
-      val cols = (0 until m).filter(use(_))
       val lr0 = lrCols(0); val ll0 = llCols(0)
       val nLr = lr0.length; val nLl = ll0.length
-      cols.foreach { c =>
+      lrCols.indices.filter(use(_)).foreach { c =>
         require(lrCols(c).length == nLr && llCols(c).length == nLl, "column pair arrays must be aligned")
       }
       val lSeq = new Array[Long](nLr + 2 * nLl)
@@ -159,25 +174,46 @@ object SearchData {
       val (rIds, lrRight) = denseIndex(lr0.map(_.rightId))
       val (lrOff, lrPerm) = groupBy(lrRight, rIds.length)
       val (llOff, llPerm) = groupBy(Array.tabulate(nLl)(i => lIdx(nLr + 2 * i)), lIds.length)
-      // Pair by pair, so each pair's vector is read once for all slots.
-      def extract(pairs: Array[Array[PairDist]], perm: Array[Int]): Array[Array[Array[Float]]] = {
-        val out = new Array[Array[Array[Float]]](m)
-        cols.foreach { c =>
-          val ps = pairs(c)
-          val t = Array.ofDim[Float](fids.length, ps.length)
-          var j = 0
-          while (j < ps.length) {
-            val d = ps(perm(j)).d
-            var s = 0
-            while (s < fids.length) { t(s)(j) = d(fids(s)); s += 1 }
-            j += 1
-          }
-          out(c) = t
-        }
-        out
-      }
+      val (lr, ll) = extract(lrCols, llCols, lrPerm, llPerm, fids, use)
       new Tables(lIds, rIds, lrOff, lrPerm.map(lIdx(_)), llOff, llPerm.map(i => lIdx(nLr + 2 * i + 1)),
-                 extract(lrCols, lrPerm), extract(llCols, llPerm), fids)
+                 lrCols, llCols, lrPerm, llPerm, lr, ll, fids)
+    }
+
+    /** Slots per extraction task. */
+    private val SlotChunk = 35
+
+    /** The L–R and the L–L tables: per selected column, one array per slot
+      * of `fids` in `perm` order. One task per (side, column, chunk of
+      * slots) on the global execution context, each pair by pair, so a
+      * pair's vector is read once per chunk.
+      */
+    private def extract(
+        lrCols: Array[Array[PairDist]], llCols: Array[Array[PairDist]],
+        lrPerm: Array[Int], llPerm: Array[Int], fids: Array[Int], use: Array[Boolean],
+    ): (Array[Array[Array[Float]]], Array[Array[Array[Float]]]) = {
+      implicit val ec: ExecutionContext = ExecutionContext.global
+      val sides = Seq((lrCols, lrPerm), (llCols, llPerm))
+      val out = sides.map { case (pairs, _) =>
+        Array.tabulate(pairs.length)(c => if (use(c)) new Array[Array[Float]](fids.length) else null)
+      }
+      val tasks = for {
+        ((pairs, perm), t) <- sides.zip(out)
+        c <- pairs.indices if use(c)
+        from <- 0 until fids.length by SlotChunk
+      } yield Future {
+        val ps = pairs(c); val tc = t(c)
+        val until = math.min(from + SlotChunk, fids.length)
+        (from until until).foreach(s => tc(s) = new Array[Float](ps.length))
+        var j = 0
+        while (j < ps.length) {
+          val d = ps(perm(j)).d
+          var s = from
+          while (s < until) { tc(s)(j) = d(fids(s)); s += 1 }
+          j += 1
+        }
+      }
+      Await.result(Future.sequence(tasks), Duration.Inf)
+      (out(0), out(1))
     }
   }
 

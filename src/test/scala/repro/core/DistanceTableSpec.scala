@@ -249,6 +249,132 @@ class DistanceTableSpec extends SparkSpec {
     assert(res.passed, Pretty.pretty(res))
   }
 
+  /** The Scala-set oracle: the statistics of two token sets from Scala
+    * `Set`s, each weight sum taken in string order.
+    */
+  private def oracleStats(lt: Array[String], rt: Array[String], weight: String => Double): Distances.SetStats = {
+    val ls = lt.toSet; val rs = rt.toSet
+    def sum(set: Set[String]): Double = set.toSeq.sorted.foldLeft(0.0)(_ + weight(_))
+    Distances.SetStats(sum(ls), sum(rs), sum(ls intersect rs), rs.subsetOf(ls))
+  }
+
+  /** The IDF weight of `tok` over the token sets `docs`. */
+  private def idfOf(docs: Seq[Array[String]], tok: String): Double = {
+    val n = math.max(docs.size, 1).toDouble
+    val df = docs.count(_.contains(tok))
+    if (df == 0) math.log(n) + 1.0 else math.log(n / df) + 1.0
+  }
+
+  /** All 140 distances of raw values `l` and `r` from the distance functions
+    * themselves, with no `Prepped`: each variant from `Preprocess`, tokens
+    * from `Tokenize`, the DP edit distance, the Scala-set oracle with IDF
+    * over the records of `corpus`, and each variant's embedding.
+    */
+  private def oracleVector(l: String, r: String, corpus: Seq[String]): Array[Float] = {
+    def variant(raw: String, p: Int) = Preprocess(p, Option(raw).getOrElse(""))
+    if (variant(l, 0).isEmpty && variant(r, 0).isEmpty) return Array.fill(ConfigSpace.Size)(1f)
+    def emb(s: String) = repro.embed.HashEmbedding.recordVector(Tokenize.space(s), _ => 1.0)
+    val out = new Array[Float](ConfigSpace.Size)
+    for (p <- 0 until ConfigSpace.NumPreproc) {
+      val a = variant(l, p); val b = variant(r, p)
+      val m = math.max(a.length, b.length)
+      out(ConfigSpace.charId(p, 0)) = Distances.jaroWinkler(a, b).toFloat
+      out(ConfigSpace.charId(p, 1)) = (if (m == 0) 0.0 else Distances.levenshteinDP(a, b).toDouble / m).toFloat
+      for (t <- 0 until ConfigSpace.NumTok; w <- 0 until ConfigSpace.NumWeight) {
+        val docs = corpus.map(c => Tokenize(t, variant(c, p)))
+        val weight: String => Double = if (w == 0) _ => 1.0 else idfOf(docs, _)
+        val stats = oracleStats(Tokenize(t, a), Tokenize(t, b), weight)
+        for (d <- 0 until ConfigSpace.NumSetDist)
+          out(ConfigSpace.setId(p, t, w, d)) = Distances.setDistance(d, stats).toFloat
+      }
+      out(ConfigSpace.embedId(p)) = repro.embed.HashEmbedding.cosineDistance(emb(a), emb(b)).toFloat
+    }
+    out
+  }
+
+  /** Variant p's 35 function ids. */
+  private def variantIds(p: Int): Seq[Int] =
+    (0 until ConfigSpace.Size).filter(ConfigSpace.decode(_).p == p)
+
+  /** One column's L–R tables of every (l, r) and L–L tables of every
+    * ordered pair of distinct left records, from the five-argument
+    * `computeMulti` and from `vector`, under a context over `corpus`, each
+    * row bit-equal to [[oracleVector]]. Returns the number of rows whose
+    * oracle distances under L+RP differ from those under L.
+    */
+  private def checkAgainstOracle(lVals: Seq[String], rVals: Seq[String], corpus: Seq[String]): Int = {
+    val lCols = lVals.indices.map(i => i.toLong -> Array(Prepped(lVals(i)))).toMap
+    val rCols = rVals.indices.map(i => (1000L + i) -> Array(Prepped(rVals(i)))).toMap
+    val ctx = FeatureContext.build(corpus.map(Prepped(_)))
+    val lIds = lVals.indices.map(_.toLong); val rIds = rVals.indices.map(1000L + _)
+    val lr = for (l <- lIds; r <- rIds) yield (l, r)
+    val ll = for (a <- lIds; b <- lIds if a != b) yield (a, b)
+    val (lrOut, llOut) = DistanceTable.computeMulti(lr.toArray, ll.toArray, lCols, rCols, Array(ctx))
+    def raw(id: Long) = if (id >= 1000L) rVals((id - 1000L).toInt) else lVals(id.toInt)
+    def rec(id: Long) = if (id >= 1000L) rCols(id)(0) else lCols(id)(0)
+    def bits(x: Float) = java.lang.Float.floatToRawIntBits(x)
+    val rows = lrOut(0) ++ llOut(0)
+    assert(rows.map(p => (p.leftId, p.rightId)).toSeq == lr ++ ll)
+    rows.count { row =>
+      val want = oracleVector(raw(row.leftId), raw(row.rightId), corpus)
+      for ((name, got) <- Seq("computeMulti" -> row.d, "vector" -> DistanceTable.vector(rec(row.leftId), rec(row.rightId), ctx))) {
+        val bad = want.indices.filter(id => bits(got(id)) != bits(want(id)))
+        assert(bad.isEmpty, s"$name (${raw(row.leftId)}, ${raw(row.rightId)}): " +
+          bad.map(id => s"${ConfigSpace.decode(id).label} ${got(id)} vs ${want(id)}").mkString(", "))
+      }
+      variantIds(2).map(want(_)) != variantIds(0).map(want(_))
+    }
+  }
+
+  /** Values with no punctuation, so L+RP equals L and L+S+RP equals L+S on
+    * each; stemming changes some of them.
+    */
+  private val plainL = Seq("alpha beta", "Alpha Gamma 2008", "beta teams", "gamma", "", null)
+  private val plainR = Seq("alpha bet", "gamma 2008", "Beta Team", null)
+
+  test("variant aliasing: L+RP equal to L on every value, rows bit-equal to the per-function oracle") {
+    assert((plainL ++ plainR).forall(v => Preprocess(2, Option(v).getOrElse("")) == Preprocess(0, Option(v).getOrElse(""))))
+    checkAgainstOracle(plainL, plainR, plainL ++ plainR)
+  }
+
+  test("variant aliasing: one value with punctuation keeps L+RP apart from L") {
+    val l = plainL :+ "Beta-Teams, Inc."
+    val differ = checkAgainstOracle(l, plainR, l ++ plainR)
+    assert(differ > 0, "some row's L+RP distances differ from its L distances")
+  }
+
+  test("variant aliasing: equal strings but a context whose L and L+RP IDF differ") {
+    // The coded values alias; the corpus holds punctuated values, so the
+    // IDF of L and of L+RP differ on their tokens.
+    val corpus = plainL ++ plainR ++ Seq("alpha-beta", "gamma.2008", "beta/teams", "Alpha-Gamma")
+    val differ = checkAgainstOracle(plainL, plainR, corpus)
+    assert(differ > 0, "some row's L+RP distances differ from its L distances")
+  }
+
+  test("Prepped shares coinciding variants by reference; every field equals the per-variant construction") {
+    val raws = Seq("alpha beta", "Baseball Teams", "St. Mary's", "a-b c", "Bulldogs!", null, "")
+    var shared = 0
+    for (raw <- raws) {
+      val rec = Prepped(raw)
+      val s = Option(raw).getOrElse("")
+      for (p <- 0 until ConfigSpace.NumPreproc) {
+        val str = Preprocess(p, s)
+        assert(rec.strs(p) == str)
+        for (t <- 0 until ConfigSpace.NumTok)
+          assert(rec.toks(p * ConfigSpace.NumTok + t).sameElements(Tokenize(t, str)), s"$raw ($p, $t)")
+        assert(rec.emb(p).sameElements(repro.embed.HashEmbedding.recordVector(Tokenize.space(str), _ => 1.0)))
+        for (q <- 0 until p if Preprocess(q, s) == str) {
+          shared += 1
+          assert(rec.strs(q) eq rec.strs(p), s"$raw: strs($q) and strs($p)")
+          for (t <- 0 until ConfigSpace.NumTok)
+            assert(rec.toks(q * ConfigSpace.NumTok + t) eq rec.toks(p * ConfigSpace.NumTok + t), s"$raw: toks ($q, $t) and ($p, $t)")
+          assert(rec.emb(q) eq rec.emb(p), s"$raw: emb($q) and emb($p)")
+        }
+      }
+    }
+    assert(shared > 0)
+  }
+
   /** Records with the given token sets per (P, T); every string is "x", so
     * only the set slots differ between records.
     */
@@ -275,7 +401,6 @@ class DistanceTableSpec extends SparkSpec {
     val prop = Prop.forAll(gen) { case (lt, rt, corpus) =>
       val ctx = FeatureContext.build(corpus.map(tokRecord))
       val v = DistanceTable.vector(tokRecord(lt), tokRecord(rt), ctx)
-      val n = math.max(corpus.size, 1).toDouble
       (for {
         p <- 0 until ConfigSpace.NumPreproc
         t <- 0 until ConfigSpace.NumTok
@@ -283,15 +408,8 @@ class DistanceTableSpec extends SparkSpec {
         d <- 0 until ConfigSpace.NumSetDist
       } yield {
         val pt = p * ConfigSpace.NumTok + t
-        val ls = lt(pt).toSet; val rs = rt(pt).toSet
-        def weight(tok: String): Double =
-          if (w == 0) 1.0
-          else {
-            val df = corpus.count(_(pt).contains(tok))
-            if (df == 0) math.log(n) + 1.0 else math.log(n / df) + 1.0
-          }
-        def sum(set: Set[String]): Double = set.toSeq.sorted.foldLeft(0.0)(_ + weight(_))
-        val stats = Distances.SetStats(sum(ls), sum(rs), sum(ls intersect rs), rs.subsetOf(ls))
+        val weight: String => Double = if (w == 0) _ => 1.0 else idfOf(corpus.map(_(pt)), _)
+        val stats = oracleStats(lt(pt), rt(pt), weight)
         val want = Distances.setDistance(d, stats).toFloat
         val got = v(ConfigSpace.setId(p, t, w, d))
         // The merge's sums themselves, before rounding to float hides

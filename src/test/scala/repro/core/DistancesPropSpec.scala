@@ -21,6 +21,70 @@ object DistancesPropSpec extends Properties("Distances") {
       d <= math.max(a.length, b.length)
   }
 
+  // Letters, space and punctuation are ASCII; "é" and U+1F600 (a surrogate
+  // pair) are not, so a pattern holding one takes the DP path.
+  private val asciiChar: Gen[Char] =
+    Gen.frequency(8 -> Gen.alphaChar, 2 -> Gen.const(' '), 1 -> Gen.oneOf(".,-'&()/".toSeq))
+  private val anyChunk: Gen[String] =
+    Gen.frequency(12 -> asciiChar.map(_.toString), 1 -> Gen.const("é"), 1 -> Gen.const("\uD83D\uDE00"))
+
+  /** 0–130 UTF-16 chars, all ASCII or mixed. */
+  private val text: Gen[String] = for {
+    n <- Gen.choose(0, 130)
+    chunk <- Gen.oneOf(asciiChar.map(_.toString), anyChunk)
+    s <- Gen.listOfN(n, chunk)
+  } yield s.mkString.take(130)
+
+  /** `s` after up to 8 ASCII insertions, deletions or substitutions. */
+  private def edited(s: String): Gen[String] =
+    Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(0, 2), Gen.choose(0, 1000), asciiChar))).map {
+      _.foldLeft(s) { case (t, (op, at, c)) =>
+        val i = at % (t.length + 1)
+        // StringOps.patch needs the replaced count within the string.
+        val one = math.min(1, t.length - i)
+        op match {
+          case 0 => t.patch(i, c.toString, 0)
+          case 1 => t.patch(i, "", one)
+          case _ => t.patch(i, c.toString, one)
+        }
+      }
+    }
+
+  private val textPair: Gen[(String, String)] =
+    Gen.frequency(1 -> Gen.zip(text, text), 2 -> text.flatMap(a => edited(a).map((a, _))))
+
+  private def agreesWithDP(a: String, b: String): Boolean = {
+    val want = Distances.levenshteinDP(a, b)
+    Distances.levenshtein(a, b) == want && Distances.levenshtein(b, a) == want
+  }
+
+  /** Jaro is not symmetric char by char, so each order has its own scan. */
+  private def agreesWithScan(a: String, b: String): Boolean = {
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    bits(Distances.jaro(a, b)) == bits(Distances.jaroScan(a, b)) &&
+      bits(Distances.jaro(b, a)) == bits(Distances.jaroScan(b, a))
+  }
+
+  property("levenshtein equals the DP on 0-130 chars, ASCII or not, in both orders") =
+    forAll(Gen.listOfN(10, textPair)) { pairs =>
+      pairs.forall { case (a, b) => agreesWithDP(a, b) }
+    }
+
+  property("jaro equals the window scan on 0-130 chars, ASCII or not, in both orders") =
+    forAll(Gen.listOfN(10, textPair)) { pairs =>
+      pairs.forall { case (a, b) => agreesWithScan(a, b) }
+    }
+
+  property("levenshtein and jaro equal their references at 63, 64 and 65 chars") = {
+    val cases = for {
+      n <- Seq(63, 64, 65)
+      a = Seq.tabulate(n)(i => ('a' + i * 7 % 26).toChar).mkString
+      b <- Seq(a.reverse, a.tail, a + "x", "x" + a, a.updated(n - 1, '#'), a.updated(0, '#'),
+               a.take(n / 2) + a.drop(n / 2 + 1), "x" * n, "x" * (n + 20), a.tail + "é", a + a)
+    } yield (a, b)
+    Prop(cases.forall { case (a, b) => agreesWithDP(a, b) && agreesWithScan(a, b) })
+  }
+
   property("levenshtein triangle inequality") = forAll(word, word, word) { (a, b, c) =>
     Distances.levenshtein(a, c) <=
       Distances.levenshtein(a, b) + Distances.levenshtein(b, c)

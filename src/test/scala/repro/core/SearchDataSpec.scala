@@ -163,4 +163,18 @@ class SearchDataSpec extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, Pretty.pretty(res))
   }
+
+  test("withSlots on the selection's tables equals fromColumns over the final slots (ScalaCheck)") {
+    // Up to 80 slots (repeats allowed), so extraction splits them into chunks.
+    val gen = Gen.zip(columns, Gen.choose(1, 80).flatMap(Gen.listOfN(_, Gen.choose(0, 3))))
+    val prop = Prop.forAll(gen) { case ((lr, ll, selFids, weights), fids) =>
+      val selection = SearchData.Tables(lr, ll, selFids, Array.fill(lr.length)(true))
+      weights.forall { w =>
+        layout(selection.withSlots(fids.toArray, w.map(_ != 0.0)).blend(w)) ==
+          reference(lr, ll, fids.toArray, w)
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
 }
