@@ -65,7 +65,7 @@ object DigestJob {
     val spark = JobSession.build("autofj-digest")
     try {
       val tau = SingleColumnHarness.Tau
-      val thetas = ConfigSpace.thresholds(SingleColumnHarness.Steps)
+      val thetas = ConfigSpace.thresholds()
       val full = ConfigSpace.full.map(_.id).toArray
       val reduced = ConfigSpace.reduced24.toArray
       Benchmarks.singleColumn.filter(s => wanted(s.name)).foreach { spec =>

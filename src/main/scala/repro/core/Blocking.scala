@@ -31,7 +31,8 @@ import scala.jdk.CollectionConverters._
   * them. Candidates come back as (leftId, rightId, blockSim) rows ordered by
   * (probe id, rank), whatever the order of the input records.
   *
-  * Record ids must be unique within a table. The DataFrame entry point
+  * Record ids must be unique within a table: a repeated id throws
+  * `IllegalArgumentException`. The DataFrame entry point
   * takes frames with columns (id: Long, text: String) and collects them
   * first.
   */
@@ -54,9 +55,19 @@ object Blocking {
     */
   private final case class Index(ids: Array[Long], postings: Map[String, (Double, Array[Int])])
 
+  /** `recs` sorted by id; two records of one `side` with one id throw
+    * `IllegalArgumentException`.
+    */
+  private def byId(recs: Seq[(Long, String)], side: String): Array[(Long, String)] = {
+    val sorted = recs.sortBy(_._1).toArray
+    (1 until sorted.length).foreach(i =>
+      require(sorted(i)._1 != sorted(i - 1)._1, s"$side holds id ${sorted(i)._1} twice"))
+    sorted
+  }
+
   /** Index `left`'s records under ln(|L|/df) + 1 over `left` itself. */
   private def index(left: Seq[(Long, String)]): Index = {
-    val sorted = left.sortBy(_._1)
+    val sorted = byId(left, "L")
     val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
     sorted.iterator.zipWithIndex.foreach { case ((_, text), pos) =>
       tokenize(text).foreach(t => lists.getOrElseUpdate(t, new mutable.ArrayBuilder.ofInt) += pos)
@@ -67,7 +78,7 @@ object Blocking {
       // StrictMath: the same bits on every JVM and platform.
       t -> (StrictMath.log(n / post.length) + 1.0, post)
     }.toMap
-    Index(sorted.map(_._1).toArray, postings)
+    Index(sorted.map(_._1), postings)
   }
 
   /** Per-thread scratch space for probing one index. */
@@ -122,7 +133,7 @@ object Blocking {
     */
   private def probe(index: Index, probes: Seq[(Long, String)], k: Int, self: Boolean): Array[Candidate] = {
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val sorted = probes.sortBy(_._1).toArray
+    val sorted = byId(probes, if (self) "L" else "R")
     val kk = if (self) k + 1 else k
     val chunks = (0 until sorted.length by Chunk).map { from =>
       Future {

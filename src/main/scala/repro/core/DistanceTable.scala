@@ -49,15 +49,6 @@ object Prepped {
     val byValue = new java.util.HashMap[String, Prepped]
     raws.iterator.map(raw => byValue.computeIfAbsent(Option(raw).getOrElse(""), apply(_))).toArray
   }
-
-  /** The records of `left` and `right` by id, through [[interned]] over
-    * both sides together.
-    */
-  def byId(left: Seq[(Long, String)], right: Seq[(Long, String)]): (Map[Long, Prepped], Map[Long, Prepped]) = {
-    val all = interned(left.map(_._2) ++ right.map(_._2))
-    (left.iterator.map(_._1).zip(all.iterator).toMap,
-     right.iterator.map(_._1).zip(all.iterator.drop(left.size)).toMap)
-  }
 }
 
 /** Dataset-level weighting context: one IDF table per (P, T) combo, built
@@ -89,8 +80,8 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
 
 /** Computes the per-pair distance vectors for a set of candidate pairs on
   * the driver, with no Spark job: the search reads every distance on the
-  * driver, so a job here would only add serialization and scheduling. The
-  * DataFrame entry points read the pairs of a frame and delegate.
+  * driver, so a job here would only add serialization and scheduling.
+  * Every prepare site calls [[columns]]; the DataFrame forms share its path.
   *
   * The work is done once per distinct column value and once per distinct
   * value pair. A [[Prepped]] is a function of its lower-cased raw value,
@@ -240,59 +231,73 @@ object DistanceTable {
     out
   }
 
-  /** Distance vectors of every column for every (leftId, rightId) pair:
-    * one [[PairDist]] table per column, all in input pair order. An id
-    * missing from the record maps throws `NoSuchElementException`.
+  /** [[columns]]' output: column c's records, L's then R's in input order
+    * (`recs(c)`), its context over them (`ctxs(c)`) and its tables.
     */
-  def computeMulti(
-      pairs: Array[(Long, Long)],
-      leftCols: Map[Long, Array[Prepped]],
-      rightCols: Map[Long, Array[Prepped]],
+  private[core] final case class Columns(
+      lIds: Seq[Long],
+      rIds: Seq[Long],
+      recs: Array[Array[Prepped]],
       ctxs: Array[FeatureContext],
-  ): Array[Array[PairDist]] =
-    if (leftCols eq rightCols) tables(leftCols, Map.empty, ctxs, Seq(pairs -> true)).head
-    else tables(leftCols, rightCols, ctxs, Seq(pairs -> false)).head
-
-  /** The L–R tables of `lrPairs` and the L–L tables of `llPairs` (both
-    * sides in `leftCols`), as [[computeMulti]] gives them, with each
-    * column's values coded once for both.
-    */
-  def computeMulti(
-      lrPairs: Array[(Long, Long)],
-      llPairs: Array[(Long, Long)],
-      leftCols: Map[Long, Array[Prepped]],
-      rightCols: Map[Long, Array[Prepped]],
-      ctxs: Array[FeatureContext],
-  ): (Array[Array[PairDist]], Array[Array[PairDist]]) = {
-    val Seq(lr, ll) = tables(leftCols, rightCols, ctxs, Seq(lrPairs -> false, llPairs -> true))
-    (lr, ll)
+      lr: Array[Array[PairDist]],
+      ll: Array[Array[PairDist]],
+  ) {
+    /** Column `c`'s records of L and of R by id. */
+    def prepped(c: Int): (Map[Long, Prepped], Map[Long, Prepped]) =
+      (lIds.iterator.zip(recs(c).iterator).toMap, rIds.iterator.zip(recs(c).iterator.drop(lIds.length)).toMap)
   }
 
-  /** Per pair set, one table per column. A set flagged `true` pairs left
-    * records with left records, the others pair left with right records.
-    * Each column codes the values of all its records once, and a value pair
-    * that occurs in several sets gets one vector.
+  /** Prepares the `m` columns of the records `left` and `right` (an id and
+    * one value per column) and computes their tables of the (leftId,
+    * rightId) pairs `lrPairs` and of the (leftId, leftId) pairs `llPairs`.
+    * Each column is prepared as one `Future` on the global execution
+    * context: one [[Prepped]] per distinct value, shared by every record
+    * that holds it ([[Prepped.interned]]), and the column's
+    * [[FeatureContext]] over every record, since IDF counts records. Each
+    * column's values are then coded once for both pair sets. An id missing
+    * from the records throws `NoSuchElementException`.
+    */
+  private[core] def columns(
+      m: Int,
+      left: Seq[(Long, Seq[String])],
+      right: Seq[(Long, Seq[String])],
+      lrPairs: Array[(Long, Long)],
+      llPairs: Array[(Long, Long)],
+  ): Columns = {
+    val (recs, ctxs) = all((0 until m).map { c =>
+      Future {
+        val recs = Prepped.interned(left.map(_._2(c)) ++ right.map(_._2(c)))
+        (recs, FeatureContext.build(recs))
+      }
+    }).toArray.unzip
+    val lIds = left.map(_._1); val rIds = right.map(_._1)
+    val lPos = positions(lIds, 0)
+    val Seq(lr, ll) = tables(recs, ctxs, Seq((lrPairs, lPos, positions(rIds, lIds.length)), (llPairs, lPos, lPos)))
+    Columns(lIds, rIds, recs, ctxs, lr, ll)
+  }
+
+  private implicit val ec: ExecutionContext = ExecutionContext.global
+  private def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
+
+  /** Each of `ids` mapped to its position plus `from`. */
+  private def positions(ids: Iterable[Long], from: Int): Map[Long, Int] =
+    ids.iterator.zipWithIndex.map { case (id, i) => id -> (from + i) }.toMap
+
+  /** Per pair set, one table per column of `recs`, which holds each
+    * column's records by position. A set's pairs are (leftId, rightId) ids,
+    * at positions its two maps give. Each column codes the values of all
+    * its records once, and a value pair that occurs in several sets gets
+    * one vector.
     */
   private def tables(
-      leftCols: Map[Long, Array[Prepped]],
-      rightCols: Map[Long, Array[Prepped]],
+      recs: Array[Array[Prepped]],
       ctxs: Array[FeatureContext],
-      sets: Seq[(Array[(Long, Long)], Boolean)],
+      sets: Seq[(Array[(Long, Long)], Map[Long, Int], Map[Long, Int])],
   ): Seq[Array[Array[PairDist]]] = {
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
-    val lIds = leftCols.keys.toArray
-    val rIds = rightCols.keys.toArray
-    val lPos = lIds.iterator.zipWithIndex.toMap
-    val rPos = rIds.iterator.zipWithIndex.toMap
-    // Every set's pairs, concatenated, as positions among left ++ right records.
-    val pairL = sets.iterator.flatMap(_._1.iterator.map(p => lPos(p._1))).toArray
-    val pairR = sets.iterator.flatMap { case (pairs, self) =>
-      pairs.iterator.map(p => if (self) lPos(p._2) else lIds.length + rPos(p._2))
-    }.toArray
-    val cols = all(ctxs.indices.map { c =>
-      Future(new ColumnPairs(lIds.map(leftCols(_)(c)) ++ rIds.map(rightCols(_)(c)), pairL, pairR, ctxs(c)))
-    })
+    // Every set's pairs, concatenated, as positions among the records.
+    val pairL = sets.iterator.flatMap { case (pairs, l, _) => pairs.iterator.map(p => l(p._1)) }.toArray
+    val pairR = sets.iterator.flatMap { case (pairs, _, r) => pairs.iterator.map(p => r(p._2)) }.toArray
+    val cols = all(recs.indices.map(c => Future(new ColumnPairs(recs(c), pairL, pairR, ctxs(c)))))
     all(for (col <- cols; from <- 0 until col.vectors.length by Chunk)
       yield Future(col.fill(from, math.min(from + Chunk, col.vectors.length))))
     val starts = sets.scanLeft(0)(_ + _._1.length)
@@ -331,40 +336,35 @@ object DistanceTable {
     }
   }
 
-  /** Single-column [[computeMulti]]: distance vectors for every
-    * (leftId, rightId) pair, in input pair order.
-    */
-  def compute(
-      pairs: Array[(Long, Long)],
-      left: Map[Long, Prepped],
-      right: Map[Long, Prepped],
-      ctx: FeatureContext,
-  ): Array[PairDist] = {
-    def oneCol(recs: Map[Long, Prepped]) = recs.map { case (id, p) => id -> Array(p) }
-    val l = oneCol(left)
-    computeMulti(pairs, l, if (right eq left) l else oneCol(right), Array(ctx))(0)
-  }
-
   private def pairsOf(df: DataFrame): Array[(Long, Long)] =
     df.select("leftId", "rightId").collect().map(r => (r.getLong(0), r.getLong(1)))
 
-  /** [[computeMulti]] over the (leftId, rightId) rows of a pair frame. */
+  /** Distance vectors of every column for the (leftId, rightId) rows of a
+    * pair frame, over the records of `leftCols` and `rightCols` by id: one
+    * table per column, each in row order. An id missing from the records
+    * throws `NoSuchElementException`.
+    */
   def computeMulti(
       spark: SparkSession,
       pairs: DataFrame,
       leftCols: Map[Long, Array[Prepped]],
       rightCols: Map[Long, Array[Prepped]],
       ctxs: Array[FeatureContext],
-  ): Array[Array[PairDist]] =
-    computeMulti(pairsOf(pairs), leftCols, rightCols, ctxs)
+  ): Array[Array[PairDist]] = {
+    val lIds = leftCols.keys.toArray; val rIds = rightCols.keys.toArray
+    val recs = Array.tabulate(ctxs.length)(c => lIds.map(leftCols(_)(c)) ++ rIds.map(rightCols(_)(c)))
+    tables(recs, ctxs, Seq((pairsOf(pairs), positions(lIds, 0), positions(rIds, lIds.length)))).head
+  }
 
-  /** [[compute]] over the (leftId, rightId) rows of a pair frame. */
+  /** Single-column [[computeMulti]]. */
   def compute(
       spark: SparkSession,
       pairs: DataFrame,
       left: Map[Long, Prepped],
       right: Map[Long, Prepped],
       ctx: FeatureContext,
-  ): Array[PairDist] =
-    compute(pairsOf(pairs), left, right, ctx)
+  ): Array[PairDist] = {
+    def oneCol(recs: Map[Long, Prepped]) = recs.map { case (id, p) => id -> Array(p) }
+    computeMulti(spark, pairs, oneCol(left), oneCol(right), Array(ctx))(0)
+  }
 }

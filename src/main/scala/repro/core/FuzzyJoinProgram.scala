@@ -30,16 +30,10 @@ final case class FuzzyJoinProgram(
     */
   def apply(spark: SparkSession, left: DataFrame, right: DataFrame): DataFrame = {
     val (lRecs, rRecs) = Blocking.records(left, right)
-    val lrCand = Blocking.leftRight(lRecs, rRecs)
-    val lText = lRecs.toMap
-    val rText = rRecs.toMap
-    val (lPrepped, rPrepped) = Prepped.byId(lRecs, rRecs)
-    val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
-    val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
-    val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
-    val keep = lrCand.map(t => (t._1, t._2))
-      .filterNot { case (l, r) => NegativeRules.violates(rules, lWords(l), rWords(r)) }
-    val dists = DistanceTable.compute(keep, lPrepped, rPrepped, ctx)
+    val survives = NegativeRules.survives(rules, NegativeRules.wordSets(lRecs), rRecs)
+    val keep = Blocking.leftRight(lRecs, rRecs).collect { case (l, r, _) if survives(l, r) => (l, r) }
+    val dists = DistanceTable.columns(1, lRecs.map(r => r._1 -> Seq(r._2)), rRecs.map(r => r._1 -> Seq(r._2)),
+      keep, Array.empty).lr(0)
 
     // First config (greedy order) that joins each r wins; within a config
     // each r joins its closest l (Eq. 1).

@@ -12,8 +12,8 @@ import repro.data.MultiTask
   * the concatenation of all columns ([[Blocking.block]]); the columns are
   * prepared concurrently, once per distinct value, and the per-column
   * distance tables of the L–R and of the L–L pairs come from one
-  * driver-side [[DistanceTable.computeMulti]] call, which codes each column
-  * once for both, and are aligned by pair index. [[run]] lays the
+  * [[DistanceTable.columns]] call, which codes each column once for both,
+  * and are aligned by pair index. [[run]] lays the
   * selection's distances out once in column-major [[SearchData.Tables]],
   * which it drops when it returns, and blends them per candidate weight
   * vector; the final search reuses that layout. Candidate weight vectors
@@ -35,36 +35,19 @@ object MultiColumnAutoFJ {
   )
 
   /** Block on concatenated columns and compute one aligned distance table
-    * per column. Each column is prepared as one `Future` on the global
-    * execution context: one [[Prepped]] per distinct value, shared by every
-    * record that holds it ([[Prepped.interned]]), and the column's
-    * [[FeatureContext]] over every record, since IDF counts records.
-    * [[DistanceTable.computeMulti]] then codes each column once for the
-    * L–R and the L–L pairs and computes one vector per distinct value pair.
-    * Runs no Spark job; `spark` is not read.
+    * per column through [[DistanceTable.columns]], which codes each column
+    * once for the L–R and the L–L pairs. A null value is missing, the empty
+    * string (§5.2.2), in the blocking text as in the distances. Runs no
+    * Spark job; `spark` is not read.
     */
   def prepare(spark: SparkSession, task: MultiTask): PreparedMulti = {
-    val m = task.nCols
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val lConcat = task.left.map { case (id, v) => (id, v.mkString(" ")) }
-    val rConcat = task.right.map { case (id, v) => (id, v.mkString(" ")) }
-    val (lrCand, llCand) = Blocking.block(lConcat, rConcat)
+    def concat(recs: Seq[(Long, Vector[String])]) =
+      recs.map { case (id, v) => (id, v.map(Option(_).getOrElse("")).mkString(" ")) }
+    val (lrCand, llCand) = Blocking.block(concat(task.left), concat(task.right))
     // Sorted pairs; every column's distance table keeps this order.
-    val lrPairs = lrCand.map(t => (t._1, t._2)).sorted
-    val llPairs = llCand.map(t => (t._1, t._2)).sorted
-
-    val nL = task.left.length
-    val cols = Await.result(Future.sequence((0 until m).map { c =>
-      Future {
-        val recs = Prepped.interned(task.left.map(_._2(c)) ++ task.right.map(_._2(c)))
-        (recs, FeatureContext.build(recs))
-      }
-    }), Duration.Inf).toArray
-    val lPrepped = task.left.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(i)) }.toMap
-    val rPrepped = task.right.iterator.zipWithIndex.map { case ((id, _), i) => id -> cols.map(_._1(nL + i)) }.toMap
-    val ctxs = cols.map(_._2)
-    val (lrCols, llCols) = DistanceTable.computeMulti(lrPairs, llPairs, lPrepped, rPrepped, ctxs)
-    PreparedMulti(task.columns, lrCols, llCols)
+    val cols = DistanceTable.columns(task.nCols, task.left, task.right,
+      lrCand.map(t => (t._1, t._2)).sorted, llCand.map(t => (t._1, t._2)).sorted)
+    PreparedMulti(task.columns, cols.lr, cols.ll)
   }
 
   /** Algorithm 3. Weight vectors are kept normalized to sum 1 (the blend
@@ -85,14 +68,13 @@ object MultiColumnAutoFJ {
       prepared: PreparedMulti,
       tau: Double,
       fids: Array[Int] = ConfigSpace.full.map(_.id).toArray,
-      steps: Int = 50,
       g: Int = 10,
       gt: Map[Long, Long] = Map.empty,
       gtTotal: Int = 0,
       selectionFids: Option[Array[Int]] = None,
   ): MultiResult = {
     val m = prepared.columns.length
-    val thetas = ConfigSpace.thresholds(steps)
+    val thetas = ConfigSpace.thresholds()
     implicit val ec: ExecutionContext = ExecutionContext.global
     val selFids = selectionFids.getOrElse(fids)
 

@@ -52,4 +52,17 @@ object NegativeRules {
   /** [[violates]] over the records' word sets. */
   def violates(rules: Set[Rule], l: Set[String], r: Set[String]): Boolean =
     singletonDiff(l, r).exists { case (a, b) => rules.contains(Rule.of(a, b)) }
+
+  /** Each record's [[wordSet]], by id. */
+  private[core] def wordSets(recs: Seq[(Long, String)]): Map[Long, Set[String]] =
+    recs.iterator.map { case (id, t) => id -> wordSet(t) }.toMap
+
+  /** Whether a (leftId, rightId) pair violates no rule, over L's word sets
+    * `lWords` and those of the `right` records, built here once per record.
+    */
+  private[core] def survives(
+      rules: Set[Rule], lWords: Map[Long, Set[String]], right: Seq[(Long, String)]): (Long, Long) => Boolean = {
+    val rWords = wordSets(right)
+    (l, r) => !violates(rules, lWords(l), rWords(r))
+  }
 }

@@ -58,7 +58,7 @@ final class SearchData private (
 object SearchData {
 
   /** Build from single-column distance tables (the L–R and L–L candidate
-    * pair vectors produced by [[DistanceTable.compute]]).
+    * pair vectors produced by [[DistanceTable.columns]]).
     */
   def fromSingle(lr: Array[PairDist], ll: Array[PairDist], fids: Array[Int]): SearchData =
     fromColumns(Array(lr), Array(ll), fids, Array(1.0))

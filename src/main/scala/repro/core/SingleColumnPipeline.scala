@@ -40,7 +40,8 @@ object SingleColumnPipeline {
       recSchema)
 
   /** Block (L, R), learn the negative rules and compute both distance
-    * tables. Runs no Spark job; `spark` is not read.
+    * tables, in blocking's pair order. Runs no Spark job; `spark` is not
+    * read.
     */
   def prepare(
       spark: SparkSession,
@@ -50,23 +51,18 @@ object SingleColumnPipeline {
     val (lrRows, llCand) = Blocking.block(left, right)
     val llRows = llCand.map(t => (t._1, t._2))
 
-    val lText = left.toMap
-    val rText = right.toMap
-
-    // Negative rules: learned from L–L survivors, applied to L–R survivors,
-    // over word sets built once per record.
-    val lWords = lText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
-    val rWords = rText.map { case (id, t) => id -> NegativeRules.wordSet(t) }
+    // Negative rules: learned from L–L survivors, applied to L–R survivors.
+    val lWords = NegativeRules.wordSets(left)
     val rules = NegativeRules.learnWords(llRows.iterator.map { case (a, b) => (lWords(a), lWords(b)) })
+    val survives = NegativeRules.survives(rules, lWords, right)
 
-    val (lPrepped, rPrepped) = Prepped.byId(left, right)
-    val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
+    val cols = DistanceTable.columns(1, left.map(r => r._1 -> Seq(r._2)), right.map(r => r._1 -> Seq(r._2)),
+      lrRows.map(t => (t._1, t._2)), llRows)
+    val (lPrepped, rPrepped) = cols.prepped(0)
+    val lrAll = cols.lr(0)
+    val lrFiltered = lrAll.filter(p => survives(p.leftId, p.rightId))
 
-    val lrAll = DistanceTable.compute(lrRows.map(t => (t._1, t._2)), lPrepped, rPrepped, ctx)
-    val llPairs = DistanceTable.compute(llRows, lPrepped, lPrepped, ctx)
-    val lrFiltered = lrAll.filterNot(p => NegativeRules.violates(rules, lWords(p.leftId), rWords(p.rightId)))
-
-    Prepared(lText, rText, lPrepped, rPrepped, ctx, lrAll, lrFiltered, llPairs, rules,
+    Prepared(left.toMap, right.toMap, lPrepped, rPrepped, cols.ctxs(0), lrAll, lrFiltered, cols.ll(0), rules,
              lrRows.map(t => (t._1, t._2) -> t._3).toMap)
   }
 
@@ -91,13 +87,12 @@ object SingleColumnPipeline {
       prepared: Prepared,
       tau: Double,
       fids: Array[Int] = ConfigSpace.full.map(_.id).toArray,
-      steps: Int = 50,
       negativeRules: Boolean = true,
       gt: Map[Long, Long] = Map.empty,
       gtTotal: Int = 0,
   ): AutoFJ.Result = {
     val lr = if (negativeRules) prepared.lrFiltered else prepared.lrAll
     val data = SearchData.fromSingle(lr, prepared.llPairs, fids)
-    AutoFJ.search(data, ConfigSpace.thresholds(steps), tau, gt, gtTotal)
+    AutoFJ.search(data, ConfigSpace.thresholds(), tau, gt, gtTotal)
   }
 }

@@ -40,7 +40,6 @@ object SingleColumnHarness {
   )
 
   val Tau = 0.9
-  val Steps = 50
   val SupervisedSeeds: Seq[Long] = Seq(41, 42, 43)
 
   /** What every baseline reads on one task: the blocked candidate pairs
@@ -99,7 +98,7 @@ object SingleColumnHarness {
     * ranked by their estimated precision.
     */
   def autoFJPrAuc(data: SearchData, gt: Map[Long, Long], gtTotal: Int): Double = {
-    val res = AutoFJ.search(data, ConfigSpace.thresholds(Steps), tau = 0.0)
+    val res = AutoFJ.search(data, ConfigSpace.thresholds(), tau = 0.0)
     Metrics.prAuc(res.scores.toVector.map { case (r, s) => Scored(r, res.assignment(r), s) }, gt, gtTotal)
   }
 
@@ -148,7 +147,7 @@ object SingleColumnHarness {
     // AutoFJ-UC: the best single configuration (max estimated TP subject to
     // the precision target).
     val ucR = Metrics.precisionRecall(
-      AutoFJ.searchOneConfig(fullData, ConfigSpace.thresholds(Steps), Tau).assignment, gt, gtTotal)._2
+      AutoFJ.searchOneConfig(fullData, ConfigSpace.thresholds(), Tau).assignment, gt, gtTotal)._2
     // AutoFJ-NR: full greedy without negative rules.
     val nrRes = SingleColumnPipeline.autoFJ(prepared, Tau, negativeRules = false, gt = gt, gtTotal = gtTotal)
     val nrR = Metrics.precisionRecall(nrRes.assignment, gt, gtTotal)._2

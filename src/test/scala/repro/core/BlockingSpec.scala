@@ -221,6 +221,21 @@ class BlockingSpec extends SparkSpec {
     assert(bits(Blocking.leftRight(task.left.reverse, task.right)) == bits(lr))
   }
 
+  test("a repeated id in L or in R makes block and apply throw IllegalArgumentException") {
+    val prog = FuzzyJoinProgram(Vector(ConfigSpace.JoinConfig(ConfigSpace.setId(0, 1, 0, 0), 0.5)), Set.empty)
+    for ((l, r, msg) <- Seq((L :+ (3L -> "2008 LSU Tigers baseball team"), R, "L holds id 3 twice"),
+                            (L, R :+ (100L -> "Saint Mary Hospital"), "R holds id 100 twice"))) {
+      def df(recs: Seq[(Long, String)]) = SingleColumnPipeline.toDF(spark, recs)
+      for ((name, run) <- Seq[(String, () => Any)](
+             "block" -> (() => Blocking.block(l, r)),
+             "block on frames" -> (() => Blocking.block(spark, df(l), df(r))),
+             "apply" -> (() => prog(spark, df(l), df(r))))) {
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains(msg), s"$name: ${e.getMessage}")
+      }
+    }
+  }
+
   test("block leaves no persisted RDD behind") {
     val before = spark.sparkContext.getPersistentRDDs.size
     val (lr, ll) = Blocking.block(spark, dfL, dfR)

@@ -174,26 +174,6 @@ class DistanceTableSpec extends SparkSpec {
     }
   }
 
-  /** Per-column [[PairDist]] tables against `vector`, bit for bit, row by
-    * row in input order; None when they agree.
-    */
-  private def multiMismatch(
-      pairs: Array[(Long, Long)], lCols: Map[Long, Array[Prepped]], rCols: Map[Long, Array[Prepped]],
-      ctxs: Array[FeatureContext],
-  ): Option[String] = {
-    val out = DistanceTable.computeMulti(pairs, lCols, rCols, ctxs)
-    if (out.length != ctxs.length) return Some(s"${out.length} tables for ${ctxs.length} columns")
-    out.indices.iterator.flatMap { c =>
-      if (out(c).length != pairs.length) Some(s"column $c: ${out(c).length} rows for ${pairs.length} pairs")
-      else pairs.indices.iterator.collectFirst {
-        case i if out(c)(i).leftId != pairs(i)._1 || out(c)(i).rightId != pairs(i)._2 ||
-            !java.util.Arrays.equals(out(c)(i).d,
-              DistanceTable.vector(lCols(pairs(i)._1)(c), rCols(pairs(i)._2)(c), ctxs(c))) =>
-          s"column $c row $i ${pairs(i)} differs from vector"
-      }
-    }.nextOption()
-  }
-
   /** Two-column records, one unshared `Prepped` per record and value. */
   private def records(values: Seq[(Long, Seq[String])]): Map[Long, Array[Prepped]] =
     values.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
@@ -201,31 +181,63 @@ class DistanceTableSpec extends SparkSpec {
   private def contexts(maps: Map[Long, Array[Prepped]]*): Array[FeatureContext] =
     Array.tabulate(2)(c => FeatureContext.build(maps.flatMap(_.values.map(_(c)))))
 
-  test("computeMulti on repeated values: rows bit-equal to vector, one vector per value pair") {
-    val lCols = records(Seq(
-      1L -> Seq("Foo", "red"), 2L -> Seq("foo", "red"), 3L -> Seq(null, "Red"),
-      4L -> Seq("", "blue"), 5L -> Seq("Foo Bar", null), 6L -> Seq("foo", "")))
-    val rCols = records(Seq(
-      10L -> Seq("FOO", "red"), 11L -> Seq("", "blue"), 12L -> Seq(null, "red"), 13L -> Seq("foo bar", "")))
+  /** [[DistanceTable.columns]]' two-column tables of `lr` and `ll` against `vector` over one unshared
+    * `Prepped` per record and value and a context per column over every
+    * record, bit for bit, row by row in input order; None when they agree.
+    * Also checks that the records it returns by id hold the input values.
+    */
+  private def columnsMismatch(l: Seq[(Long, Seq[String])], r: Seq[(Long, Seq[String])],
+                              lr: Array[(Long, Long)], ll: Array[(Long, Long)]): Option[String] = {
+    val lCols = records(l); val rCols = records(r)
     val ctxs = contexts(lCols, rCols)
-    val lr = (for (l <- 1L to 6L; r <- 10L to 13L) yield (l, r)).reverse.toArray
+    val out = DistanceTable.columns(2, l, r, lr, ll)
+    def tableMismatch(name: String, got: Array[Array[PairDist]], pairs: Array[(Long, Long)],
+                      right: Map[Long, Array[Prepped]]): Option[String] =
+      if (got.length != ctxs.length) Some(s"$name: ${got.length} tables for ${ctxs.length} columns")
+      else got.indices.iterator.flatMap { c =>
+        if (got(c).length != pairs.length) Some(s"$name column $c: ${got(c).length} rows for ${pairs.length} pairs")
+        else pairs.indices.iterator.collectFirst {
+          case i if got(c)(i).leftId != pairs(i)._1 || got(c)(i).rightId != pairs(i)._2 ||
+              !java.util.Arrays.equals(got(c)(i).d,
+                DistanceTable.vector(lCols(pairs(i)._1)(c), right(pairs(i)._2)(c), ctxs(c))) =>
+            s"$name column $c row $i ${pairs(i)} differs from vector"
+        }
+      }.nextOption()
+    def prepMismatch(c: Int): Option[String] = {
+      val (lp, rp) = out.prepped(c)
+      val want = l.map(t => t._1 -> t._2(c)) ++ r.map(t => t._1 -> t._2(c))
+      val got = l.map(t => t._1 -> lp(t._1)) ++ r.map(t => t._1 -> rp(t._1))
+      want.zip(got).collectFirst {
+        case ((id, v), (_, p)) if p.strs.toSeq != Prepped(v).strs.toSeq => s"column $c record $id holds ${p.strs(0)}"
+      }
+    }
+    tableMismatch("L-R", out.lr, lr, rCols).orElse(tableMismatch("L-L", out.ll, ll, lCols))
+      .orElse((0 until 2).iterator.flatMap(prepMismatch).nextOption())
+  }
+
+  test("columns on repeated values: rows bit-equal to vector, one vector per value pair") {
+    val l = Seq(
+      1L -> Seq("Foo", "red"), 2L -> Seq("foo", "red"), 3L -> Seq(null, "Red"),
+      4L -> Seq("", "blue"), 5L -> Seq("Foo Bar", null), 6L -> Seq("foo", ""))
+    val r = Seq(10L -> Seq("FOO", "red"), 11L -> Seq("", "blue"), 12L -> Seq(null, "red"), 13L -> Seq("foo bar", ""))
+    val lr = (for (a <- 1L to 6L; b <- 10L to 13L) yield (a, b)).reverse.toArray
     val ll = (for (a <- 1L to 6L; b <- 1L to 6L if a != b) yield (a, b)).toArray
-    assert(multiMismatch(lr, lCols, rCols, ctxs).isEmpty)
-    assert(multiMismatch(ll, lCols, lCols, ctxs).isEmpty)
+    assert(columnsMismatch(l, r, lr, ll).isEmpty)
     // Pairs share a vector exactly when their (strs(0), strs(0)) pairs are
     // equal: "Foo"/"foo"/"FOO" are one value, and so are null and "".
-    for ((pairs, right) <- Seq((lr, rCols), (ll, lCols))) {
-      val out = DistanceTable.computeMulti(pairs, lCols, right, ctxs)
+    val out = DistanceTable.columns(2, l, r, lr, ll)
+    val (lCols, rCols) = (records(l), records(r))
+    for ((tables, pairs, right) <- Seq((out.lr, lr, rCols), (out.ll, ll, lCols))) {
       (0 until 2).foreach { c =>
-        val values = pairs.map { case (l, r) => (lCols(l)(c).strs(0), right(r)(c).strs(0)) }
+        val values = pairs.map { case (a, b) => (lCols(a)(c).strs(0), right(b)(c).strs(0)) }
         // Arrays compare by reference: this counts the vectors.
-        assert(out(c).map(_.d).distinct.length == values.distinct.length)
+        assert(tables(c).map(_.d).distinct.length == values.distinct.length)
         assert(values.distinct.length < pairs.length)
       }
     }
   }
 
-  test("computeMulti rows are bit-equal to vector on values from a small alphabet (ScalaCheck)") {
+  test("columns rows are bit-equal to vector on values from a small alphabet (ScalaCheck)") {
     val alphabet = Seq("Foo", "foo", "FOO bar", "foo bar", "bar", null, "", "a-b c", "a b c", "St. Mary")
     val value = Gen.oneOf(alphabet)
     val recs = (from: Long) => Gen.choose(1, 10).flatMap(n =>
@@ -239,10 +251,7 @@ class DistanceTableSpec extends SparkSpec {
       ll <- pairsOf(l.map(_._1), l.map(_._1))
     } yield (l, r, lr, ll)
     val prop = Prop.forAll(gen) { case (l, r, lr, ll) =>
-      val lCols = records(l); val rCols = records(r)
-      val ctxs = contexts(lCols, rCols)
-      val bad = multiMismatch(lr, lCols, rCols, ctxs).map("L-R: " + _)
-        .orElse(multiMismatch(ll, lCols, lCols, ctxs).map("L-L: " + _))
+      val bad = columnsMismatch(l, r, lr, ll)
       Prop(bad.isEmpty) :| bad.getOrElse("")
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200), prop)
@@ -297,7 +306,7 @@ class DistanceTableSpec extends SparkSpec {
     (0 until ConfigSpace.Size).filter(ConfigSpace.decode(_).p == p)
 
   /** One column's L–R tables of every (l, r) and L–L tables of every
-    * ordered pair of distinct left records, from the five-argument
+    * ordered pair of distinct left records, from the DataFrame
     * `computeMulti` and from `vector`, under a context over `corpus`, each
     * row bit-equal to [[oracleVector]]. Returns the number of rows whose
     * oracle distances under L+RP differ from those under L.
@@ -309,7 +318,8 @@ class DistanceTableSpec extends SparkSpec {
     val lIds = lVals.indices.map(_.toLong); val rIds = rVals.indices.map(1000L + _)
     val lr = for (l <- lIds; r <- rIds) yield (l, r)
     val ll = for (a <- lIds; b <- lIds if a != b) yield (a, b)
-    val (lrOut, llOut) = DistanceTable.computeMulti(lr.toArray, ll.toArray, lCols, rCols, Array(ctx))
+    val lrOut = DistanceTable.computeMulti(spark, pairFrame(lr, 2), lCols, rCols, Array(ctx))
+    val llOut = DistanceTable.computeMulti(spark, pairFrame(ll, 2), lCols, lCols, Array(ctx))
     def raw(id: Long) = if (id >= 1000L) rVals((id - 1000L).toInt) else lVals(id.toInt)
     def rec(id: Long) = if (id >= 1000L) rCols(id)(0) else lCols(id)(0)
     def bits(x: Float) = java.lang.Float.floatToRawIntBits(x)

@@ -36,24 +36,24 @@ class MultiColumnSearchSpec extends AnyFunSuite {
   }
 
   test("forward selection picks the informative column, not the noise") {
-    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0), steps = 10)
+    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0))
     assert(res.selected == Vector(0))
     assert(res.weights(0) == 1.0 && res.weights(1) == 0.0)
   }
 
   test("the selected program joins every r to its true l") {
-    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0), steps = 10)
+    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0))
     val expected = (0 until 6).map(r => (100L + r) -> r.toLong).toMap
     assert(res.result.assignment == expected)
   }
 
   test("adding the noise column does not improve estimated recall") {
-    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0), steps = 10)
+    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0))
     assert(res.selected.size == 1, "selection should stop after the informative column")
   }
 
   test("estimated precision stays above tau") {
-    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0), steps = 10)
+    val res = MultiColumnAutoFJ.run(prepared, tau = 0.9, fids = Array(0))
     assert(res.result.estPrecision > 0.9)
   }
 }

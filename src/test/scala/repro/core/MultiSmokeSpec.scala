@@ -63,6 +63,23 @@ class MultiSmokeSpec extends SparkSpec {
     }
   }
 
+  test("a null value is missing: prepare gives the same pairs and rows as with the empty string") {
+    val task = MultiColGen.generate(MultiColGen.specs.head.copy(
+      name = "FZ-null", nL = 60, nExtra = 15, nMatches = 15, nNonMatches = 20))
+    // Every third record of L and of R loses its first column's value.
+    def blank(side: Vector[(Long, Vector[String])], v: String) = side.zipWithIndex.map {
+      case ((id, vals), i) => (id, if (i % 3 == 0) vals.updated(0, v) else vals)
+    }
+    def prep(v: String) = MultiColumnAutoFJ.prepare(spark,
+      task.copy(left = blank(task.left, v), right = blank(task.right, v)))
+    def rows(cols: Array[Array[PairDist]]) =
+      cols.map(_.map(p => (p.leftId, p.rightId, p.d.toSeq.map(java.lang.Float.floatToRawIntBits))).toSeq).toSeq
+    val (withNull, withEmpty) = (prep(null), prep(""))
+    assert(withNull.lrCols(0).nonEmpty && withNull.llCols(0).nonEmpty)
+    assert(rows(withNull.lrCols) == rows(withEmpty.lrCols))
+    assert(rows(withNull.llCols) == rows(withEmpty.llCols))
+  }
+
   test("random columns are never selected (Table 4b mechanism)") {
     val spec = MultiColGen.specs.head.copy(
       name = "FZ-rand", nL = 120, nExtra = 30, nMatches = 30, nNonMatches = 40)

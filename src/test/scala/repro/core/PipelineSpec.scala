@@ -23,6 +23,39 @@ class PipelineSpec extends SparkSpec {
     assert(prepared.llPairs.forall(_.d.length == ConfigSpace.Size))
   }
 
+  test("prepare's tables and apply's distances are bit-equal to vector over per-record Prepped, in blocking order") {
+    val tiny = Benchmarks.tiny()
+    val p = SingleColumnPipeline.prepare(spark, tiny.left, tiny.right)
+    // The reference: one unshared Prepped per record and one context built
+    // sequentially over every record of L and R.
+    val lp = tiny.left.map { case (id, t) => id -> Prepped(t) }.toMap
+    val rp = tiny.right.map { case (id, t) => id -> Prepped(t) }.toMap
+    val ctx = FeatureContext.build(tiny.left.map(t => lp(t._1)) ++ tiny.right.map(t => rp(t._1)))
+    val (lrCand, llCand) = Blocking.block(tiny.left, tiny.right)
+    val lr = lrCand.map(t => (t._1, t._2)).toSeq
+    val ll = llCand.map(t => (t._1, t._2)).toSeq
+    val lText = tiny.left.toMap; val rText = tiny.right.toMap
+    val kept = lr.filterNot { case (l, r) => NegativeRules.violates(p.rules, lText(l), rText(r)) }
+    assert(kept.nonEmpty && ll.nonEmpty)
+    for ((name, got, pairs, right) <- Seq(("lrAll", p.lrAll, lr, rp), ("lrFiltered", p.lrFiltered, kept, rp),
+                                          ("llPairs", p.llPairs, ll, lp))) {
+      assert(got.map(d => (d.leftId, d.rightId)).toSeq == pairs, s"$name pairs")
+      got.foreach { d =>
+        assert(java.util.Arrays.equals(d.d, DistanceTable.vector(lp(d.leftId), right(d.rightId), ctx)),
+          s"$name pair (${d.leftId}, ${d.rightId})")
+      }
+    }
+
+    val res = SingleColumnPipeline.autoFJ(p, tau = 0.9)
+    val rows = FuzzyJoinProgram(res.program, p.rules)(spark,
+      SingleColumnPipeline.toDF(spark, tiny.left), SingleColumnPipeline.toDF(spark, tiny.right)).collect()
+    assert(rows.nonEmpty)
+    rows.foreach { row =>
+      val (r, l, c) = (row.getLong(0), row.getLong(1), res.program(row.getInt(3)))
+      assert(row.getDouble(2) == DistanceTable.vector(lp(l), rp(r), ctx)(c.fId).toDouble, s"applied ($l, $r)")
+    }
+  }
+
   test("negative-rule filtering removes a subset of the candidate pairs") {
     val all = prepared.lrAll.map(p => (p.leftId, p.rightId)).toSet
     val kept = prepared.lrFiltered.map(p => (p.leftId, p.rightId)).toSet
