@@ -77,12 +77,15 @@ object DigestJob {
         val rules = new Digest
         p.rules.toSeq.map(r => (r.a, r.b)).sorted.foreach { case (a, b) => rules.string(a); rules.string(b) }
         emit(spec.name, "rules", rules.hex)
-        for ((fname, fids) <- Seq("f140" -> full, "f24" -> reduced); t <- Seq(tau, 0.0))
-          emit(spec.name, s"search-$fname-tau$t", result(SingleColumnPipeline.autoFJ(p, t, fids = fids)))
+        val searches = for ((fname, fids) <- Seq("f140" -> full, "f24" -> reduced); t <- Seq(tau, 0.0)) yield {
+          val res = SingleColumnPipeline.autoFJ(p, t, fids = fids)
+          emit(spec.name, s"search-$fname-tau$t", result(res))
+          res
+        }
         val one = AutoFJ.searchOneConfig(SearchData.fromSingle(p.lrFiltered, p.llPairs, full), thetas, tau)
         emit(spec.name, "searchOneConfig", result(one))
-        val res = SingleColumnPipeline.autoFJ(p, tau)
-        val rows = FuzzyJoinProgram(res.program, p.rules)
+        // `apply` replays the first search's program: f140 at τ = 0.9.
+        val rows = FuzzyJoinProgram(searches.head.program, p.rules)
           .apply(spark, SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
           .collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted
         val applied = new Digest

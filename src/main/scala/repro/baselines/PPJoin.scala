@@ -1,15 +1,12 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.core.{Preprocess, Tokenize}
 import repro.eval.Metrics.Scored
 
 /** PPJoin [48]: set-similarity join with prefix filtering over a global
   * frequency token order plus the length filter, verified with exact
-  * Jaccard — implemented as a Spark DataFrame pipeline (explode prefixes,
-  * join on token, verify against broadcast token sets).
+  * Jaccard — on the driver: an index from token to the L records whose
+  * prefix holds it, probed with each R record's prefix.
   *
   * The positional filter is an additional pruning optimization that does
   * not change results; candidates here are already bounded by blocking-
@@ -20,7 +17,6 @@ object PPJoin {
   private def tokens(s: String): Array[String] = Tokenize.space(Preprocess.lower(s))
 
   def run(
-      spark: SparkSession,
       left: Seq[(Long, String)],
       right: Seq[(Long, String)],
       threshold: Double = 0.3,
@@ -41,27 +37,16 @@ object PPJoin {
       sorted.take(pl)
     }
 
-    val schema = StructType(Seq(
-      StructField("id", LongType, nullable = false),
-      StructField("token", StringType, nullable = false),
-      StructField("size", IntegerType, nullable = false)))
-
-    def prefixDF(recs: Map[Long, Array[String]], idCol: String, sizeCol: String) = {
-      val rows = recs.toSeq.flatMap { case (id, toks) =>
-        prefix(toks).map(t => Row(id, t, toks.length))
-      }
-      spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-        .withColumnRenamed("id", idCol).withColumnRenamed("size", sizeCol)
-    }
-
-    val lp = prefixDF(lToks, "lId", "lSize")
-    val rp = prefixDF(rToks, "rId", "rSize")
-    val cand = lp.join(rp, Seq("token"))
-      // Length filter: t·|x| ≤ |y| ≤ |x|/t.
-      .filter(col("rSize") >= ceil(col("lSize") * threshold) &&
-              col("rSize") <= floor(col("lSize") / threshold))
-      .select("lId", "rId").distinct()
-      .collect().map(r => (r.getLong(0), r.getLong(1)))
+    // Token → the L records whose prefix holds it, probed by each R prefix.
+    val index = lToks.toSeq.flatMap { case (id, toks) => prefix(toks).map(_ -> id) }
+      .groupBy(_._1).map { case (t, g) => t -> g.map(_._2) }
+    val cand = rToks.iterator.flatMap { case (rid, rt) =>
+      prefix(rt).iterator.flatMap(t => index.getOrElse(t, Nil)).filter { lid =>
+        val lSize = lToks(lid).length
+        // Length filter: t·|x| ≤ |y| ≤ |x|/t.
+        rt.length >= math.ceil(lSize * threshold) && rt.length <= math.floor(lSize / threshold)
+      }.map(lid => (lid, rid))
+    }.toSet
 
     // Exact Jaccard verification on the driver (candidates are small).
     val verified = cand.iterator.map { case (lid, rid) =>

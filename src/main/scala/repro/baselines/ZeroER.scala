@@ -18,7 +18,7 @@ object ZeroER {
 
   private val VarFloor = 1e-4
 
-  def fit(x: Array[Array[Double]], iters: Int = 60, seed: Long = 11): Model = {
+  def fit(x: Array[Array[Double]], iters: Int = 60): Model = {
     val n = x.length
     val d = x(0).length
     // Init: seed the match component with the top decile by mean feature.

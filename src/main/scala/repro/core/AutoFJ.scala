@@ -49,9 +49,10 @@ object AutoFJ {
     * of their joins.
     *
     * One function slot at a time: the nearest l of each r is a pass over
-    * r's row of the L–R layout; then only the balls around the nearest l
-    * of some r that the largest θ joins are blended ([[SearchData.llDist]])
-    * and counted ([[BallCounts]]), since no other ball is read.
+    * r's row of the L–R layout, blended into a buffer ([[SearchData.lrDist]]);
+    * then only the balls around the nearest l of some r that the largest θ
+    * joins are blended ([[SearchData.llDist]]) and counted ([[BallCounts]]),
+    * since no other ball is read.
     */
   private final class Prep(val data: SearchData, thetas: Array[Double]) {
     val nF: Int = data.nF
@@ -60,6 +61,10 @@ object AutoFJ {
 
     val bestL: Array[Array[Int]] = Array.fill(nF)(new Array[Int](nR))
     val bestD: Array[Array[Float]] = Array.fill(nF)(new Array[Float](nR))
+
+    /** One r's blended row, for [[nearest]]. */
+    private val row =
+      new Array[Double]((0 until nR).foldLeft(0)((m, r) => math.max(m, data.lrOff(r + 1) - data.lrOff(r))))
 
     /** Per f, the r's with a candidate, ascending by bestD (as
       * `Float.compare`), ties by ascending r — the set joined by ⟨f, θ⟩ is a
@@ -111,15 +116,17 @@ object AutoFJ {
       * ties to the smaller dense index; -1 for an r without a candidate.
       */
     private def nearest(f: Int): Unit = {
-      val dists = data.lrDist(f); val off = data.lrOff; val left = data.lrLeft
+      val off = data.lrOff; val left = data.lrLeft
       val bl = bestL(f); val bd = bestD(f)
       var r = 0
       while (r < nR) {
+        val from = off(r); val until = off(r + 1)
+        data.lrDist(f, from, until, row)
         var l = -1
         var d = Float.MaxValue
-        var j = off(r)
-        while (j < off(r + 1)) {
-          val dj = dists(j); val lj = left(j)
+        var j = from
+        while (j < until) {
+          val dj = row(j - from).toFloat; val lj = left(j)
           if (dj < d || (dj == d && (l < 0 || lj < l))) { d = dj; l = lj }
           j += 1
         }

@@ -48,7 +48,7 @@ object Blocking {
   def topK(nLeft: Long): Int = math.max(1, math.ceil(math.sqrt(nLeft.toDouble)).toInt)
 
   private def tokenize(text: String): Array[String] =
-    Tokenize.ngrams(Preprocess.lower(Option(text).getOrElse("")), 3)
+    Tokenize.ngrams(Preprocess.lower(Option(text).getOrElse("")))
 
   /** Inverted index over L: token → (weight, L positions). Positions follow
     * ascending leftId, so a tie broken on position is broken on leftId.

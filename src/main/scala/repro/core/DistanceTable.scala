@@ -35,7 +35,7 @@ object Prepped {
         t += 1
       }
       // The embedding's words are the variant's space tokens (T = 1).
-      emb(p) = if (q < p) emb(q) else HashEmbedding.recordVector(toks(p * ConfigSpace.NumTok + 1), _ => 1.0)
+      emb(p) = if (q < p) emb(q) else HashEmbedding.recordVector(toks(p * ConfigSpace.NumTok + 1))
       p += 1
     }
     Prepped(strs, toks, emb)

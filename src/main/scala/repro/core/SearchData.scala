@@ -3,54 +3,57 @@ package repro.core
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
-/** Driver-side, struct-of-arrays view of the blocked candidate pairs and
-  * their distances, as consumed by the greedy search.
+/** The greedy search's input: one weight vector's view of a [[SearchData.Tables]]
+  * layout, that is, the tables plus their non-zero columns and weights.
   *
   * Left records are densely indexed in `lIds`, right records in `rIds`.
   * The L–R pairs are grouped by right record: r's pairs sit at
-  * `[lrOff(r), lrOff(r + 1))`, with left record `lrLeft(j)` and distance
-  * `lrDist(fSlot)(j)` under the fSlot-th join function of the searched
-  * space (slots align with the `fids` array handed to the search, not with
-  * raw function ids). The L–L pairs are grouped by left record into balls:
-  * l's ball sits at `[llOff(l), llOff(l + 1))`, with right record
-  * `llRight(j)`. L–L distances are not stored blended; [[llDist]] blends
-  * a range of them on read, since a search reads only the balls around
-  * some r's nearest l. Within a group, pairs keep their input order. Built
-  * by [[SearchData.Tables.blend]]; instances blended from the same tables
-  * share their layout arrays.
+  * `[lrOff(r), lrOff(r + 1))`, with left record `lrLeft(j)`. The L–L pairs
+  * are grouped by left record into balls: l's ball sits at
+  * `[llOff(l), llOff(l + 1))`, with right record `llRight(j)`. Within a
+  * group, pairs keep their input order. Slot `s` is the s-th join function
+  * of the searched space (`fids(s)`), not a raw function id. No distance is
+  * stored blended: [[lrDist]] and [[llDist]] blend a range of either side
+  * when it is read, since a search reads each r's row once per slot and only
+  * the balls around some r's nearest l. Built by [[SearchData.Tables.blend]];
+  * the layout arrays are the tables' own.
   */
-final class SearchData private (
-    val lIds: Array[Long],
-    val rIds: Array[Long],
-    val lrOff: Array[Int],
-    val lrLeft: Array[Int],
-    val lrDist: Array[Array[Float]],
-    val llOff: Array[Int],
-    val llRight: Array[Int],
-    llTables: Array[Array[Array[Float]]],
-    llWeights: Array[Double],
-    val fids: Array[Int],
-) {
+final class SearchData private (tables: SearchData.Tables, cols: Array[Int], weights: Array[Double]) {
+  def lIds: Array[Long] = tables.lIds
+  def rIds: Array[Long] = tables.rIds
+  def lrOff: Array[Int] = tables.lrOff
+  def lrLeft: Array[Int] = tables.lrLeft
+  def llOff: Array[Int] = tables.llOff
+  def llRight: Array[Int] = tables.llRight
+  def fids: Array[Int] = tables.fids
   def nLeft: Int = lIds.length
   def nRight: Int = rIds.length
   def nF: Int = fids.length
   def nLr: Int = lrLeft.length
   def nLl: Int = llRight.length
 
-  /** The distances of the L–L pairs at `[from, until)` (ball order) under
-    * slot `s`, before rounding: `acc(i)` becomes pair `from + i`'s `Double`
-    * sum of w_c · d_c over the non-zero columns in ascending order, starting
-    * from 0.0. Its `toFloat` is the pair's distance (Def. 4.1).
+  /** The distances of the L–R pairs at `[from, until)` (row order) under
+    * slot `s`, before rounding, as [[blend]] gives them.
     */
-  def llDist(s: Int, from: Int, until: Int, acc: Array[Double]): Unit = {
-    val t = llTables(s)
+  def lrDist(s: Int, from: Int, until: Int, acc: Array[Double]): Unit = blend(tables.lr, s, from, until, acc)
+
+  /** The distances of the L–L pairs at `[from, until)` (ball order) under
+    * slot `s`, before rounding, as [[blend]] gives them.
+    */
+  def llDist(s: Int, from: Int, until: Int, acc: Array[Double]): Unit = blend(tables.ll, s, from, until, acc)
+
+  /** Def. 4.1 on one side's tables: `acc(i)` becomes pair `from + i`'s
+    * `Double` sum of w_c · d_c over the non-zero columns in ascending order,
+    * starting from 0.0. Its `toFloat` is the pair's distance.
+    */
+  private def blend(side: Array[Array[Array[Float]]], s: Int, from: Int, until: Int, acc: Array[Double]): Unit = {
     java.util.Arrays.fill(acc, 0, until - from, 0.0)
-    var c = 0
-    while (c < t.length) {
-      val w = llWeights(c); val d = t(c)
+    var ci = 0
+    while (ci < cols.length) {
+      val w = weights(ci); val d = side(cols(ci))(s)
       var j = from
       while (j < until) { acc(j - from) += w * d(j); j += 1 }
-      c += 1
+      ci += 1
     }
   }
 }
@@ -94,49 +97,32 @@ object SearchData {
     * holds input pair `lrPerm(j)` / `llPerm(j)` of `lrCols` / `llCols`.
     */
   final class Tables private (
-      lIds: Array[Long],
-      rIds: Array[Long],
-      lrOff: Array[Int],
-      lrLeft: Array[Int],
-      llOff: Array[Int],
-      llRight: Array[Int],
+      val lIds: Array[Long],
+      val rIds: Array[Long],
+      val lrOff: Array[Int],
+      val lrLeft: Array[Int],
+      val llOff: Array[Int],
+      val llRight: Array[Int],
       lrCols: Array[Array[PairDist]],
       llCols: Array[Array[PairDist]],
       lrPerm: Array[Int],
       llPerm: Array[Int],
-      lr: Array[Array[Array[Float]]],
-      ll: Array[Array[Array[Float]]],
-      fids: Array[Int],
+      private[SearchData] val lr: Array[Array[Array[Float]]],
+      private[SearchData] val ll: Array[Array[Array[Float]]],
+      val fids: Array[Int],
   ) {
 
-    /** The search input under `weights`. Every L–R distance is blended here,
-      * per pair and slot a `Double` sum of w_c · d_c over the non-zero
-      * columns in ascending order, then rounded to float; the L–L side keeps
-      * the non-zero columns' tables and weights and blends a pair the same
-      * way when it is read ([[SearchData.llDist]]). The layout arrays are
-      * shared with the tables, not copied.
+    /** The search input under `weights`: a view of these tables that
+      * blends a range of pairs when the search reads it
+      * ([[SearchData.lrDist]], [[SearchData.llDist]]). Only the non-zero
+      * columns and their weights are kept; no pair is read here.
       */
     def blend(weights: Array[Double]): SearchData = {
       require(weights.length == lr.length, "one weight per column")
       val cols = weights.indices.filter(weights(_) != 0.0).toArray
       require(cols.nonEmpty, "at least one column must have non-zero weight")
       cols.foreach(c => require(lr(c) != null, s"column $c has no table"))
-      val n = lrLeft.length
-      val acc = new Array[Double](n)
-      val lrDist = Array.tabulate(fids.length) { s =>
-        java.util.Arrays.fill(acc, 0.0)
-        cols.foreach { c =>
-          val w = weights(c); val d = lr(c)(s)
-          var i = 0
-          while (i < n) { acc(i) += w * d(i); i += 1 }
-        }
-        val out = new Array[Float](n)
-        var i = 0
-        while (i < n) { out(i) = acc(i).toFloat; i += 1 }
-        out
-      }
-      new SearchData(lIds, rIds, lrOff, lrLeft, lrDist, llOff, llRight,
-                     Array.tabulate(fids.length)(s => cols.map(ll(_)(s))), cols.map(weights(_)), fids)
+      new SearchData(this, cols, cols.map(weights(_)))
     }
 
     /** Tables of the same pairs in this layout, for the function slots

@@ -12,14 +12,13 @@ object Tokenize {
 
   val Codes: Vector[String] = Vector("3G", "SP")
 
-  /** Character q-grams of the padded string, distinct and sorted. */
-  def ngrams(s: String, q: Int = 3): Array[String] = {
+  /** Character 3-grams of the `$$`-padded string, distinct and sorted. */
+  def ngrams(s: String): Array[String] = {
     if (s.isEmpty) return Array.empty
-    val pad = "$" * (q - 1)
-    val padded = pad + s + pad
+    val padded = "$$" + s + "$$"
     val out = new scala.collection.mutable.TreeSet[String]
     var i = 0
-    while (i + q <= padded.length) { out += padded.substring(i, i + q); i += 1 }
+    while (i + 3 <= padded.length) { out += padded.substring(i, i + 3); i += 1 }
     out.toArray
   }
 
@@ -29,7 +28,7 @@ object Tokenize {
 
   /** Apply tokenizer `t` (index into [[Codes]]). */
   def apply(t: Int, s: String): Array[String] = t match {
-    case 0 => ngrams(s, 3)
+    case 0 => ngrams(s)
     case 1 => space(s)
     case other => throw new IllegalArgumentException(s"no tokenizer $other")
   }

@@ -8,7 +8,7 @@ import scala.util.hashing.MurmurHash3
   * the configuration space (Table 1) is backed by feature-hashed character
   * trigram vectors: each word maps to a `Dim`-dimensional unit vector whose
   * coordinates are signed hashes of its padded trigrams; a record maps to
-  * the weighted mean of its word vectors. This preserves what the paper
+  * the mean of its word vectors. This preserves what the paper
   * needs from the embedding arm — a dense distance correlated with surface
   * form yet distinct from both token-set overlap and edit distance — while
   * staying fully deterministic (same input, same vector, every run).
@@ -36,15 +36,14 @@ object HashEmbedding {
     normalize(v)
   }
 
-  /** Weighted mean of word vectors, normalized; zero for empty input. */
-  def recordVector(words: Array[String], weight: String => Double): Array[Float] = {
+  /** Mean of word vectors, normalized; zero for empty input. */
+  def recordVector(words: Array[String]): Array[Float] = {
     val v = new Array[Float](Dim)
     var i = 0
     while (i < words.length) {
       val wv = wordVector(words(i))
-      val w = weight(words(i)).toFloat
       var j = 0
-      while (j < Dim) { v(j) += w * wv(j); j += 1 }
+      while (j < Dim) { v(j) += wv(j); j += 1 }
       i += 1
     }
     normalize(v)

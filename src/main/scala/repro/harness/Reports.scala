@@ -27,7 +27,6 @@ object Reports {
       BaselineNames.foreach(m => sb.append(f"${fmt(e.methods(m).ar)}%-8s "))
       sb.append(f"${fmt(e.autoUcR)} ${fmt(e.autoNrR)}\n")
     }
-    val n = evals.size.toDouble
     def avg(f: TaskEval => Double): Double = {
       val vs = evals.map(f).filterNot(_.isNaN) // NA rows excluded, as in the paper
       if (vs.isEmpty) Double.NaN else vs.sum / vs.size

@@ -77,7 +77,7 @@ object SingleColumnHarness {
     ("FW", (_, in) => in.eval(FuzzyWuzzy.run(in.pairs))),
     ("ZeroER", (_, in) => in.eval(ZeroER.run(in.pairs, in.feats))),
     ("ECM", (_, in) => in.eval(ECM.run(in.pairs, in.feats))),
-    ("PP", (spark, in) => in.eval(PPJoin.run(spark, in.ppLeft, in.ppRight))),
+    ("PP", (_, in) => in.eval(PPJoin.run(in.ppLeft, in.ppRight))),
     ("Magellan", (spark, in) => in.supervised(spark, "rf")),
     ("DM", (spark, in) => in.supervised(spark, "mlp")),
     ("AL", (_, in) => in.eval(ActiveLearning.run(in.pairs, in.feats, in.gt))),

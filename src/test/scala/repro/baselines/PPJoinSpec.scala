@@ -1,9 +1,9 @@
 package repro.baselines
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Preprocess, Tokenize}
 
-class PPJoinSpec extends SparkSpec {
+class PPJoinSpec extends AnyFunSuite {
 
   private val L = Seq(
     1L -> "2008 LSU Tigers baseball team",
@@ -31,7 +31,7 @@ class PPJoinSpec extends SparkSpec {
   }
 
   test("PPJoin agrees with the brute-force Jaccard join at t=0.3") {
-    val out = PPJoin.run(spark, L, R, threshold = 0.3)
+    val out = PPJoin.run(L, R, threshold = 0.3)
       .map(s => s.rId -> (s.lId, s.score)).toMap
     val expected = brute(0.3)
     assert(out.keySet == expected.keySet)
@@ -42,20 +42,20 @@ class PPJoinSpec extends SparkSpec {
   }
 
   test("PPJoin at a high threshold drops weak pairs") {
-    val out = PPJoin.run(spark, L, R, threshold = 0.9)
+    val out = PPJoin.run(L, R, threshold = 0.9)
     assert(out.isEmpty, s"no pair reaches Jaccard 0.9: $out")
   }
 
   test("PPJoin finds exact-duplicate pairs at t=1.0 modulo prefix math") {
-    val out = PPJoin.run(spark, Seq(1L -> "alpha beta"), Seq(100L -> "beta alpha"), 0.99)
+    val out = PPJoin.run(Seq(1L -> "alpha beta"), Seq(100L -> "beta alpha"), 0.99)
     assert(out.map(s => s.rId -> s.lId) == Vector(100L -> 1L))
   }
 
   test("PPJoin respects the length filter semantics (results unchanged)") {
     // The filters only prune; verification keeps results exact. Compare
     // two thresholds where brute force says the same best pair survives.
-    val o1 = PPJoin.run(spark, L, R, 0.3).map(s => s.rId -> s.lId).toMap
-    val o2 = PPJoin.run(spark, L, R, 0.5).map(s => s.rId -> s.lId).toMap
+    val o1 = PPJoin.run(L, R, 0.3).map(s => s.rId -> s.lId).toMap
+    val o2 = PPJoin.run(L, R, 0.5).map(s => s.rId -> s.lId).toMap
     assert(o2.toSet.subsetOf(o1.toSet))
   }
 }

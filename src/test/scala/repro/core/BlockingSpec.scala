@@ -29,7 +29,7 @@ class BlockingSpec extends SparkSpec {
     assert(Blocking.topK(1) == 1)
   }
 
-  private def grams(t: String) = Tokenize.ngrams(Preprocess.lower(t), 3)
+  private def grams(t: String) = Tokenize.ngrams(Preprocess.lower(t))
 
   /** ln(|L|/df) + 1 over `left`'s 3-grams, as the index weighs them. */
   private def idfOf(left: Seq[(Long, String)]): Map[String, Double] =

@@ -282,7 +282,7 @@ class DistanceTableSpec extends SparkSpec {
   private def oracleVector(l: String, r: String, corpus: Seq[String]): Array[Float] = {
     def variant(raw: String, p: Int) = Preprocess(p, Option(raw).getOrElse(""))
     if (variant(l, 0).isEmpty && variant(r, 0).isEmpty) return Array.fill(ConfigSpace.Size)(1f)
-    def emb(s: String) = repro.embed.HashEmbedding.recordVector(Tokenize.space(s), _ => 1.0)
+    def emb(s: String) = repro.embed.HashEmbedding.recordVector(Tokenize.space(s))
     val out = new Array[Float](ConfigSpace.Size)
     for (p <- 0 until ConfigSpace.NumPreproc) {
       val a = variant(l, p); val b = variant(r, p)
@@ -372,7 +372,7 @@ class DistanceTableSpec extends SparkSpec {
         assert(rec.strs(p) == str)
         for (t <- 0 until ConfigSpace.NumTok)
           assert(rec.toks(p * ConfigSpace.NumTok + t).sameElements(Tokenize(t, str)), s"$raw ($p, $t)")
-        assert(rec.emb(p).sameElements(repro.embed.HashEmbedding.recordVector(Tokenize.space(str), _ => 1.0)))
+        assert(rec.emb(p).sameElements(repro.embed.HashEmbedding.recordVector(Tokenize.space(str))))
         for (q <- 0 until p if Preprocess(q, s) == str) {
           shared += 1
           assert(rec.strs(q) eq rec.strs(p), s"$raw: strs($q) and strs($p)")

@@ -8,6 +8,15 @@ class SearchDataSpec extends AnyFunSuite {
 
   private def pd(l: Long, r: Long, ds: Double*) = PairDist(l, r, ds.map(_.toFloat).toArray)
 
+  /** The L–R distances at `[from, until)` under slot `s`, rounded. */
+  private def lrRange(d: SearchData, s: Int, from: Int, until: Int): Seq[Float] = {
+    val acc = new Array[Double](until - from)
+    d.lrDist(s, from, until, acc)
+    acc.toSeq.map(_.toFloat)
+  }
+
+  private def lrAt(d: SearchData, s: Int, j: Int): Float = lrRange(d, s, j, j + 1).head
+
   /** The L–L distances at `[from, until)` under slot `s`, rounded. */
   private def llRange(d: SearchData, s: Int, from: Int, until: Int): Seq[Float] = {
     val acc = new Array[Double](until - from)
@@ -23,8 +32,8 @@ class SearchDataSpec extends AnyFunSuite {
     val d = SearchData.fromSingle(lr, ll, fids = Array(0, 1))
     assert(d.nLeft == 2 && d.nRight == 1 && d.nF == 2)
     assert(d.nLr == 2 && d.nLl == 2)
-    assert(d.lrDist(0).toSeq == Seq(0.1f, 0.3f))
-    assert(d.lrDist(1).toSeq == Seq(0.2f, 0.4f))
+    assert(lrRange(d, 0, 0, d.nLr) == Seq(0.1f, 0.3f))
+    assert(lrRange(d, 1, 0, d.nLr) == Seq(0.2f, 0.4f))
   }
 
   test("fromSingle respects the fids slice") {
@@ -32,7 +41,7 @@ class SearchDataSpec extends AnyFunSuite {
     val ll = Array(pd(10, 11, 0.5, 0.6, 0.7))
     val d = SearchData.fromSingle(lr, ll, fids = Array(2))
     assert(d.nF == 1)
-    assert(d.lrDist(0)(0) == 0.3f)
+    assert(lrAt(d, 0, 0) == 0.3f)
     assert(llAt(d, 0, 0) == 0.7f)
   }
 
@@ -43,7 +52,7 @@ class SearchDataSpec extends AnyFunSuite {
     val llB = Array(pd(10, 11, 0.8))
     val d = SearchData.fromColumns(Array(lrA, lrB), Array(llA, llB),
       fids = Array(0), weights = Array(0.5, 0.5))
-    assert(math.abs(d.lrDist(0)(0) - 0.4f) < 1e-6)
+    assert(math.abs(lrAt(d, 0, 0) - 0.4f) < 1e-6)
     assert(math.abs(llAt(d, 0, 0) - 0.6f) < 1e-6)
   }
 
@@ -54,7 +63,7 @@ class SearchDataSpec extends AnyFunSuite {
     val llB = Array(pd(10, 11, 0.9))
     val d = SearchData.fromColumns(Array(lrA, lrB), Array(llA, llB),
       fids = Array(0), weights = Array(1.0, 0.0))
-    assert(d.lrDist(0)(0) == 0.2f)
+    assert(lrAt(d, 0, 0) == 0.2f)
   }
 
   test("fromColumns rejects all-zero weights") {
@@ -89,7 +98,7 @@ class SearchDataSpec extends AnyFunSuite {
   private def bits(f: Float): Int = java.lang.Float.floatToRawIntBits(f)
 
   private def layout(d: SearchData): Layout = Layout(d.lIds.toSeq, d.rIds.toSeq,
-    d.lrOff.toSeq, d.lrLeft.toSeq, d.lrDist.map(_.map(bits).toSeq).toSeq,
+    d.lrOff.toSeq, d.lrLeft.toSeq, Seq.tabulate(d.nF)(lrRange(d, _, 0, d.nLr).map(bits)),
     d.llOff.toSeq, d.llRight.toSeq, Seq.tabulate(d.nF)(llRange(d, _, 0, d.nLl).map(bits)), d.fids.toSeq)
 
   /** The per-pair combine `fromColumns` had before the column-major tables:
@@ -172,6 +181,26 @@ class SearchDataSpec extends AnyFunSuite {
       weights.forall { w =>
         layout(selection.withSlots(fids.toArray, w.map(_ != 0.0)).blend(w)) ==
           reference(lr, ll, fids.toArray, w)
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("each r's row read on its own, into one reused buffer, equals the per-pair combine (ScalaCheck)") {
+    val prop = Prop.forAll(columns) { case (lr, ll, fids, weights) =>
+      val tables = SearchData.Tables(lr, ll, fids, Array.fill(lr.length)(true))
+      weights.forall { w =>
+        val d = tables.blend(w)
+        val want = reference(lr, ll, fids, w)
+        val buf = new Array[Double](d.nLr)
+        (0 until d.nF).forall { s =>
+          (0 until d.nRight).forall { r =>
+            val (from, until) = (d.lrOff(r), d.lrOff(r + 1))
+            d.lrDist(s, from, until, buf)
+            (0 until until - from).map(i => bits(buf(i).toFloat)) == want.lrDist(s).slice(want.lrOff(r), want.lrOff(r + 1))
+          }
+        }
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)

@@ -19,7 +19,7 @@ class HashEmbeddingSpec extends AnyFunSuite {
   }
 
   test("identical records have distance 0") {
-    val a = HashEmbedding.recordVector(Array("lsu", "tigers"), _ => 1.0)
+    val a = HashEmbedding.recordVector(Array("lsu", "tigers"))
     assert(HashEmbedding.cosineDistance(a, a) < 1e-6)
   }
 
@@ -40,13 +40,6 @@ class HashEmbeddingSpec extends AnyFunSuite {
     val b = HashEmbedding.wordVector("omega")
     val d = HashEmbedding.cosineDistance(a, b)
     assert(d >= 0.0 && d <= 1.0)
-  }
-
-  test("record vector weights words") {
-    val heavy = HashEmbedding.recordVector(Array("rare", "common"),
-      w => if (w == "rare") 10.0 else 0.1)
-    val rareOnly = HashEmbedding.wordVector("rare")
-    assert(HashEmbedding.cosineDistance(heavy, rareOnly) < 0.2)
   }
 
   test("distance is symmetric") {
