@@ -43,16 +43,21 @@ object AutoFJ {
 
   private val Eps = 1e-9
 
+  /** Function slots per [[Par]] task of [[Prep]]. */
+  private val SlotChunk = 8
+
   /** Shared pre-computation (§3.2's "pre-compute precision estimation"):
     * per-function nearest-l for each r, the joined-order of right records,
     * and the candidate configurations with the estimated precision of each
     * of their joins.
     *
-    * One function slot at a time: the nearest l of each r is a pass over
-    * r's row of the L–R layout, blended into a buffer ([[SearchData.lrDist]]);
-    * then only the balls around the nearest l of some r that the largest θ
-    * joins are blended ([[SearchData.llDist]]) and counted ([[BallCounts]]),
-    * since no other ball is read.
+    * Per function slot: the nearest l of each r is a pass over r's row of
+    * the L–R layout, blended into a buffer ([[SearchData.lrDist]]); then
+    * only the balls around the nearest l of some r that the largest θ joins
+    * are blended ([[SearchData.llDist]]) and counted ([[BallCounts]]), since
+    * no other ball is read. No slot reads another's results, so the slots
+    * run in chunks through [[Par]], each chunk with its own ball counts and
+    * row buffer, and the candidates are concatenated in slot order.
     */
   private final class Prep(val data: SearchData, thetas: Array[Double]) {
     val nF: Int = data.nF
@@ -62,9 +67,8 @@ object AutoFJ {
     val bestL: Array[Array[Int]] = Array.fill(nF)(new Array[Int](nR))
     val bestD: Array[Array[Float]] = Array.fill(nF)(new Array[Float](nR))
 
-    /** One r's blended row, for [[nearest]]. */
-    private val row =
-      new Array[Double]((0 until nR).foldLeft(0)((m, r) => math.max(m, data.lrOff(r + 1) - data.lrOff(r))))
+    /** The longest r's row: the length of [[nearest]]'s buffer. */
+    private val maxRow = (0 until nR).foldLeft(0)((m, r) => math.max(m, data.lrOff(r + 1) - data.lrOff(r)))
 
     /** Per f, the r's with a candidate, ascending by bestD (as
       * `Float.compare`), ties by ascending r — the set joined by ⟨f, θ⟩ is a
@@ -77,12 +81,13 @@ object AutoFJ {
       * the smallest dominates (smaller 2θ-balls ⇒ higher estimated
       * precision), so the rest are noise.
       */
-    val candidates: Array[Cand] = {
+    val candidates: Array[Cand] = Par.chunks(nF, SlotChunk) { (from, until) =>
       val out = scala.collection.mutable.ArrayBuffer.empty[Cand]
       val balls = new BallCounts(data, thetas)
-      var f = 0
-      while (f < nF) {
-        nearest(f)
+      val row = new Array[Double](maxRow)
+      var f = from
+      while (f < until) {
+        nearest(f, row)
         val order = joinOrder(f)
         rOrder(f) = order
         val bl = bestL(f); val bd = bestD(f)
@@ -109,13 +114,14 @@ object AutoFJ {
         }
         f += 1
       }
-      out.toArray
-    }
+      out
+    }.flatten.toArray
 
     /** Fills `bestL(f)`/`bestD(f)`: per r, the l of least distance under f,
       * ties to the smaller dense index; -1 for an r without a candidate.
+      * `row` holds one r's blended row.
       */
-    private def nearest(f: Int): Unit = {
+    private def nearest(f: Int, row: Array[Double]): Unit = {
       val off = data.lrOff; val left = data.lrLeft
       val bl = bestL(f); val bd = bestD(f)
       var r = 0
@@ -169,7 +175,7 @@ object AutoFJ {
     * radius covers it — a guess from the grid's spacing, then exact
     * compares, so any non-decreasing grid is counted right — and
     * prefix-sums the steps, so [[apply]] is one read. The scratch arrays
-    * are sized by min(|L|, |R|)·|θ| once and reused for every slot.
+    * are sized by min(|L|, |R|)·|θ| once and reused for every slot it counts.
     */
   private[core] final class BallCounts(data: SearchData, thetas: Array[Double]) {
     private val nK = thetas.length

@@ -1,11 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.types._
 import scala.collection.mutable
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 import scala.jdk.CollectionConverters._
 
 /** Default blocking of §3.2: an inverted index over L, probed on the driver.
@@ -21,10 +19,10 @@ import scala.jdk.CollectionConverters._
   * and every record of R ∪ L probes it — the inverted-index "SSJoin" of
   * Chaudhuri, Ganti and Kaushik (ICDE 2006) with the reference side in
   * memory. L holds at most a few thousand short records, so the probe runs
-  * on driver threads, in chunks of records on the global execution context;
-  * no Spark job is involved. An L probe keeps k + 1 candidates and then drops
-  * its identity pair (l, l), which ranks first unless an L record with a
-  * smaller id ties it.
+  * on driver threads, in chunks of records on the global execution context,
+  * the R and the L probes together; no Spark job is involved. An L probe
+  * keeps k + 1 candidates and then drops its identity pair (l, l), which
+  * ranks first unless an L record with a smaller id ties it.
   *
   * A probe adds its common tokens' weights in sorted-token order, so pairs
   * with the same common tokens tie bit-for-bit and leftId decides between
@@ -41,7 +39,7 @@ object Blocking {
   /** One candidate pair: (leftId, rightId, blockSim). */
   type Candidate = (Long, Long, Double)
 
-  /** Probe records per task on the execution context. */
+  /** Probe records per [[Par]] task. */
   private[core] val Chunk = 64
 
   /** ⌈√|L|⌉ — the number of left candidates kept per record (§3.2). */
@@ -125,56 +123,64 @@ object Blocking {
     }
   }
 
-  /** Each probe record's top-`k` candidates in `index`, in (probe id, rank)
-    * order. A `self` probe (an L record probing its own index) keeps its
-    * top-(k+1) and drops the identity pair. Chunks of probes run
-    * concurrently, one [[Prober]] each, and their rows are concatenated in
-    * chunk order.
+  /** Per set of probe records, each record's top-`k` candidates in `index`,
+    * in (probe id, rank) order. A `self` set (L records probing their own
+    * index) keeps each record's top-(k+1) and drops the identity pair. The
+    * chunks of every set run together through [[Par]], one [[Prober]] each,
+    * and each set's rows are concatenated in chunk order.
     */
-  private def probe(index: Index, probes: Seq[(Long, String)], k: Int, self: Boolean): Array[Candidate] = {
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val sorted = byId(probes, if (self) "L" else "R")
-    val kk = if (self) k + 1 else k
-    val chunks = (0 until sorted.length by Chunk).map { from =>
-      Future {
-        val prober = new Prober(index)
-        val out = Array.newBuilder[Candidate]
-        var i = from
-        while (i < math.min(from + Chunk, sorted.length)) {
-          val (id, text) = sorted(i)
-          prober.best(text, kk).foreach { case (lid, sim) => if (!self || lid != id) out += ((lid, id, sim)) }
-          i += 1
-        }
-        out.result()
+  private def probe(index: Index, sets: Seq[(Seq[(Long, String)], Boolean)], k: Int): Seq[Array[Candidate]] = {
+    val sorted = sets.map { case (probes, self) => byId(probes, if (self) "L" else "R") }
+    val chunks = for (s <- sets.indices; from <- 0 until sorted(s).length by Chunk) yield (s, from)
+    val rows = Par.map(chunks.length) { c =>
+      val (s, from) = chunks(c)
+      val recs = sorted(s); val self = sets(s)._2
+      val kk = if (self) k + 1 else k
+      val prober = new Prober(index)
+      val out = Array.newBuilder[Candidate]
+      var i = from
+      while (i < math.min(from + Chunk, recs.length)) {
+        val (id, text) = recs(i)
+        prober.best(text, kk).foreach { case (lid, sim) => if (!self || lid != id) out += ((lid, id, sim)) }
+        i += 1
       }
+      out.result()
     }
-    Await.result(Future.sequence(chunks), Duration.Inf).toArray.flatten
+    sets.indices.map(s => chunks.indices.filter(chunks(_)._1 == s).flatMap(rows(_)).toArray)
   }
 
   /** Candidate pairs for both the L–R join and the L–L self-join, from one
     * index over L. Self pairs exclude the identity (l, l).
     */
   def block(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]): (Array[Candidate], Array[Candidate]) = {
-    val idx = index(lRecs)
-    val k = topK(lRecs.length)
-    (probe(idx, rRecs, k, self = false), probe(idx, lRecs, k, self = true))
+    val Seq(lr, ll) = probe(index(lRecs), Seq((rRecs, false), (lRecs, true)), topK(lRecs.length))
+    (lr, ll)
   }
 
   /** The L–R half of [[block]]: the same index over L, probed by R only. */
   def leftRight(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]): Array[Candidate] =
-    probe(index(lRecs), rRecs, topK(lRecs.length), self = false)
+    probe(index(lRecs), Seq((rRecs, false)), topK(lRecs.length)).head
 
-  /** The (id, text) rows of two record frames, collected in one job of one
-    * task over their tagged union: `coalesce(1)` reads the union's
-    * partitions in order without a shuffle, so the rows keep the order a
-    * plain collect gives.
+  /** The (id, text) rows of two record frames, with no SQL plan around
+    * them: each frame's rows are read from its physical plan's RDD by field
+    * index, and both are collected in one job of one task over the union of
+    * the two RDDs. `coalesce(1)` reads the union's partitions in order
+    * without a shuffle, so the rows keep the order a plain collect gives.
+    * A frame whose `id` is not a `LongType` or whose `text` is not a
+    * `StringType` column throws `IllegalArgumentException`.
     */
   private[core] def records(left: DataFrame, right: DataFrame): (Seq[(Long, String)], Seq[(Long, String)]) = {
-    def tagged(df: DataFrame, isLeft: Boolean) = df.select(lit(isLeft), col("id"), col("text"))
-    val (l, r) = tagged(left, isLeft = true).union(tagged(right, isLeft = false)).coalesce(1).collect()
-      .partition(_.getBoolean(0))
-    def recs(rows: Array[Row]) = rows.toSeq.map(row => (row.getLong(1), row.getString(2)))
-    (recs(l), recs(r))
+    def rows(df: DataFrame, isLeft: Boolean): RDD[(Boolean, Long, String)] = {
+      val schema = df.schema
+      val id = schema.fieldIndex("id"); val text = schema.fieldIndex("text")
+      require(schema(id).dataType == LongType, s"id must be a LongType column, not ${schema(id).dataType}")
+      require(schema(text).dataType == StringType, s"text must be a StringType column, not ${schema(text).dataType}")
+      // The RDD may reuse one row object, so each row's values are copied out at once.
+      df.queryExecution.toRdd
+        .map(row => (isLeft, row.getLong(id), if (row.isNullAt(text)) null else row.getString(text)))
+    }
+    val (l, r) = rows(left, isLeft = true).union(rows(right, isLeft = false)).coalesce(1).collect().partition(_._1)
+    (l.toSeq.map(t => (t._2, t._3)), r.toSeq.map(t => (t._2, t._3)))
   }
 
   private val CandidateSchema = StructType(Seq(

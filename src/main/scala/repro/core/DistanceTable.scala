@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 import repro.embed.HashEmbedding
 
 /** Per-record structures all 140 join functions read from: the four
@@ -41,13 +39,22 @@ object Prepped {
     Prepped(strs, toks, emb)
   }
 
+  /** Distinct values per task in [[interned]]. */
+  private val Chunk = 16
+
   /** `Prepped(raws(i))` at every `i`, built once per distinct value and
     * shared by reference among the positions that hold it (null and ""
-    * are one value).
+    * are one value). The distinct values are built in chunks ([[Par]]).
     */
   def interned(raws: Seq[String]): Array[Prepped] = {
-    val byValue = new java.util.HashMap[String, Prepped]
-    raws.iterator.map(raw => byValue.computeIfAbsent(Option(raw).getOrElse(""), apply(_))).toArray
+    val index = new java.util.HashMap[String, Integer]
+    val distinct = scala.collection.mutable.ArrayBuffer.empty[String]
+    val at = raws.iterator.map { raw =>
+      index.computeIfAbsent(Option(raw).getOrElse(""), v => { distinct += v; distinct.length - 1 }).intValue
+    }.toArray
+    val built = new Array[Prepped](distinct.length)
+    Par.chunks(built.length, Chunk)((from, until) => (from until until).foreach(i => built(i) = apply(distinct(i))))
+    at.map(built(_))
   }
 }
 
@@ -59,16 +66,18 @@ final class FeatureContext(val idfs: Array[TokenWeights])
 object FeatureContext {
   /** A (P, T) combo whose token arrays are, record by record, the same
     * arrays as an earlier combo's with the same T shares that one's table.
+    * The other combos' tables are built concurrently ([[Par]]).
     */
   def build(corpus: Iterable[Prepped]): FeatureContext = {
     val n = ConfigSpace.NumPreproc * ConfigSpace.NumTok
-    val idfs = new Array[TokenWeights](n)
-    (0 until n).foreach { pt =>
-      val earlier = (pt % ConfigSpace.NumTok until pt by ConfigSpace.NumTok)
-        .find(q => corpus.forall(r => r.toks(q) eq r.toks(pt)))
-      idfs(pt) = earlier.fold(TokenWeights.idf(corpus.view.map(_.toks(pt))))(idfs(_))
+    // The first such combo, or pt itself: sameness is transitive, so it shares no earlier table.
+    val source = Array.tabulate(n) { pt =>
+      (pt % ConfigSpace.NumTok until pt by ConfigSpace.NumTok)
+        .find(q => corpus.forall(r => r.toks(q) eq r.toks(pt))).getOrElse(pt)
     }
-    new FeatureContext(idfs)
+    val own = (0 until n).filter(pt => source(pt) == pt)
+    val built = Par.map(own.length)(i => TokenWeights.idf(corpus.view.map(_.toks(own(i)))))
+    new FeatureContext(Array.tabulate(n)(pt => built(own.indexOf(source(pt)))))
   }
 }
 
@@ -92,10 +101,10 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   * Ids ascend in string order whatever else the dictionary holds, so a
   * merge reads the same tokens in the same order. Each pair then maps to
   * its (left value, right value) index, and each distinct index gets one
-  * vector, computed in chunks on the global execution context and shared
-  * by every pair that has it, in the L–R and the L–L table alike. A vector
-  * needs one merge over ints per (P, T), which yields the equal-weight and
-  * the IDF set statistics together
+  * vector, computed in chunks on the global execution context ([[Par]])
+  * and shared by every pair that has it, in the L–R and the L–L table
+  * alike. A vector needs one merge over ints per (P, T), which yields the
+  * equal-weight and the IDF set statistics together
   * ([[Distances.setStatsIds]]), with the same sums, in the same order, as
   * merging the token strings. A preprocessing variant that coincides with
   * an earlier one on every value of the column, with bit-equal IDF arrays,
@@ -107,8 +116,11 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   */
 object DistanceTable {
 
-  /** Value pairs per task on the execution context. */
+  /** Value pairs per [[Par]] task. */
   private val Chunk = 32
+
+  /** Values coded per [[Par]] task. */
+  private val ValueChunk = 64
 
   private val NumPT = ConfigSpace.NumPreproc * ConfigSpace.NumTok
 
@@ -132,20 +144,20 @@ object DistanceTable {
       (0 to p).find(q => records.forall(sameVariant(_, q, p))).get
     }
     private def source(pt: Int): Int = same(pt / ConfigSpace.NumTok) * ConfigSpace.NumTok + pt % ConfigSpace.NumTok
-    private val dicts: Array[Array[String]] = new Array(NumPT)
+    /** Per (P, T) that is its own source, token → id; the others read their source's. */
     private val ids: Array[java.util.HashMap[String, Integer]] = new Array(NumPT)
-    val idf: Array[Array[Double]] = Array.tabulate(NumPT) { pt =>
-      val src = source(pt)
-      if (src < pt) { dicts(pt) = dicts(src); ids(pt) = ids(src) }
-      else {
-        val seen = new java.util.HashSet[String]
-        records.foreach(_.toks(pt).foreach(seen.add))
-        val dict = seen.toArray(new Array[String](0)).sorted
-        val id = new java.util.HashMap[String, Integer](dict.length * 2)
-        dict.indices.foreach(i => id.put(dict(i), i))
-        dicts(pt) = dict; ids(pt) = id
-      }
-      dicts(pt).map(ctx.idfs(pt)(_))
+    val idf: Array[Array[Double]] = new Array(NumPT)
+    // One task per own dictionary, which also fills the IDF arrays of every (P, T) that reads it.
+    private val own = (0 until NumPT).filter(pt => source(pt) == pt)
+    Par.map(own.length) { i =>
+      val src = own(i)
+      val seen = new java.util.HashSet[String]
+      records.foreach(_.toks(src).foreach(seen.add))
+      val dict = seen.toArray(new Array[String](0)).sorted
+      val id = new java.util.HashMap[String, Integer](dict.length * 2)
+      dict.indices.foreach(i => id.put(dict(i), i))
+      ids(src) = id
+      (src until NumPT).filter(source(_) == src).foreach(pt => idf(pt) = dict.map(ctx.idfs(pt)(_)))
     }
     val alias: Array[Int] = Array.tabulate(ConfigSpace.NumPreproc) { p =>
       (0 to p).find { q =>
@@ -250,12 +262,12 @@ object DistanceTable {
   /** Prepares the `m` columns of the records `left` and `right` (an id and
     * one value per column) and computes their tables of the (leftId,
     * rightId) pairs `lrPairs` and of the (leftId, leftId) pairs `llPairs`.
-    * Each column is prepared as one `Future` on the global execution
-    * context: one [[Prepped]] per distinct value, shared by every record
-    * that holds it ([[Prepped.interned]]), and the column's
-    * [[FeatureContext]] over every record, since IDF counts records. Each
-    * column's values are then coded once for both pair sets. An id missing
-    * from the records throws `NoSuchElementException`.
+    * Each column is prepared as one [[Par]] task: one [[Prepped]] per
+    * distinct value, shared by every record that holds it
+    * ([[Prepped.interned]]), and the column's [[FeatureContext]] over every
+    * record, since IDF counts records. Each column's values are then coded
+    * once for both pair sets. An id missing from the records throws
+    * `NoSuchElementException`.
     */
   private[core] def columns(
       m: Int,
@@ -264,20 +276,15 @@ object DistanceTable {
       lrPairs: Array[(Long, Long)],
       llPairs: Array[(Long, Long)],
   ): Columns = {
-    val (recs, ctxs) = all((0 until m).map { c =>
-      Future {
-        val recs = Prepped.interned(left.map(_._2(c)) ++ right.map(_._2(c)))
-        (recs, FeatureContext.build(recs))
-      }
-    }).toArray.unzip
+    val (recs, ctxs) = Par.map(m) { c =>
+      val recs = Prepped.interned(left.map(_._2(c)) ++ right.map(_._2(c)))
+      (recs, FeatureContext.build(recs))
+    }.toArray.unzip
     val lIds = left.map(_._1); val rIds = right.map(_._1)
     val lPos = positions(lIds, 0)
     val Seq(lr, ll) = tables(recs, ctxs, Seq((lrPairs, lPos, positions(rIds, lIds.length)), (llPairs, lPos, lPos)))
     Columns(lIds, rIds, recs, ctxs, lr, ll)
   }
-
-  private implicit val ec: ExecutionContext = ExecutionContext.global
-  private def all[T](fs: Seq[Future[T]]): Seq[T] = Await.result(Future.sequence(fs), Duration.Inf)
 
   /** Each of `ids` mapped to its position plus `from`. */
   private def positions(ids: Iterable[Long], from: Int): Map[Long, Int] =
@@ -297,15 +304,18 @@ object DistanceTable {
     // Every set's pairs, concatenated, as positions among the records.
     val pairL = sets.iterator.flatMap { case (pairs, l, _) => pairs.iterator.map(p => l(p._1)) }.toArray
     val pairR = sets.iterator.flatMap { case (pairs, _, r) => pairs.iterator.map(p => r(p._2)) }.toArray
-    val cols = all(recs.indices.map(c => Future(new ColumnPairs(recs(c), pairL, pairR, ctxs(c)))))
-    all(for (col <- cols; from <- 0 until col.vectors.length by Chunk)
-      yield Future(col.fill(from, math.min(from + Chunk, col.vectors.length))))
+    val cols = Par.map(recs.length)(c => new ColumnPairs(recs(c), pairL, pairR, ctxs(c)))
+    val fills = for (col <- cols; from <- 0 until col.vectors.length by Chunk) yield (col, from)
+    Par.map(fills.length) { i =>
+      val (col, from) = fills(i)
+      col.fill(from, math.min(from + Chunk, col.vectors.length))
+    }
     val starts = sets.scanLeft(0)(_ + _._1.length)
     sets.indices.map { k =>
       val pairs = sets(k)._1
-      all(cols.map(col => Future(Array.tabulate(pairs.length) { i =>
-        PairDist(pairs(i)._1, pairs(i)._2, col.vectors(col.pairIdx(starts(k) + i)))
-      }))).toArray
+      Par.map(cols.length)(c => Array.tabulate(pairs.length) { i =>
+        PairDist(pairs(i)._1, pairs(i)._2, cols(c).vectors(cols(c).pairIdx(starts(k) + i)))
+      }).toArray
     }
   }
 
@@ -320,7 +330,8 @@ object DistanceTable {
     private val values = scala.collection.mutable.ArrayBuffer.empty[Prepped]
     private val recVal = recs.map(p => valueOf.computeIfAbsent(p.strs(0), _ => { values += p; values.length - 1 }).intValue)
     private val coding = new Coding(values, ctx)
-    private val coded = values.map(coding(_)).toArray
+    private val coded = new Array[Coded](values.length)
+    Par.chunks(coded.length, ValueChunk)((from, until) => (from until until).foreach(v => coded(v) = coding(values(v))))
     private val nv = coded.length.toLong
     val (valuePairs, pairIdx) =
       SearchData.denseIndex(Array.tabulate(pairL.length)(i => recVal(pairL(i)) * nv + recVal(pairR(i))))

@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 import repro.data.MultiTask
 
 /** §4: multi-column AutoFJ — Algorithm 3 (forward selection over columns
@@ -17,7 +15,9 @@ import repro.data.MultiTask
   * selection's distances out once in column-major [[SearchData.Tables]],
   * which it drops when it returns, and blends them per candidate weight
   * vector; the final search reuses that layout. Candidate weight vectors
-  * are evaluated concurrently on the driver (the search is pure).
+  * are evaluated concurrently on the driver through [[Par]] (the search is
+  * pure), so each selection search runs its slots on its own thread; the
+  * final search, made on the calling thread, runs its slots in parallel.
   */
 object MultiColumnAutoFJ {
 
@@ -75,7 +75,6 @@ object MultiColumnAutoFJ {
   ): MultiResult = {
     val m = prepared.columns.length
     val thetas = ConfigSpace.thresholds()
-    implicit val ec: ExecutionContext = ExecutionContext.global
     val selFids = selectionFids.getOrElse(fids)
 
     // Every selection search reads the same pairs: lay their distances out
@@ -105,10 +104,10 @@ object MultiColumnAutoFJ {
           val w2 = Array.tabulate(m)(i => (1 - alpha) * w(i) + (if (i == j) alpha else 0.0))
           (j, w2)
         }
-      val futures = candidates.map { case (j, w2) =>
-        Future((j, w2, runSearch(w2)))
+      val evaluated = Par.map(candidates.length) { i =>
+        val (j, w2) = candidates(i)
+        (j, w2, runSearch(w2))
       }
-      val evaluated = Await.result(Future.sequence(futures), Duration.Inf)
       val (bj, bw, br) = evaluated.maxBy { case (j, _, r) => (r.estTP, -j) }
       if (br.estTP > bestRecall) {
         bestRecall = br.estTP

@@ -1,8 +1,5 @@
 package repro.core
 
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
-
 /** The greedy search's input: one weight vector's view of a [[SearchData.Tables]]
   * layout, that is, the tables plus their non-zero columns and weights.
   *
@@ -169,15 +166,14 @@ object SearchData {
     private val SlotChunk = 35
 
     /** The L–R and the L–L tables: per selected column, one array per slot
-      * of `fids` in `perm` order. One task per (side, column, chunk of
-      * slots) on the global execution context, each pair by pair, so a
-      * pair's vector is read once per chunk.
+      * of `fids` in `perm` order. One [[Par]] task per (side, column, chunk
+      * of slots), each pair by pair, so a pair's vector is read once per
+      * chunk.
       */
     private def extract(
         lrCols: Array[Array[PairDist]], llCols: Array[Array[PairDist]],
         lrPerm: Array[Int], llPerm: Array[Int], fids: Array[Int], use: Array[Boolean],
     ): (Array[Array[Array[Float]]], Array[Array[Array[Float]]]) = {
-      implicit val ec: ExecutionContext = ExecutionContext.global
       val sides = Seq((lrCols, lrPerm), (llCols, llPerm))
       val out = sides.map { case (pairs, _) =>
         Array.tabulate(pairs.length)(c => if (use(c)) new Array[Array[Float]](fids.length) else null)
@@ -186,8 +182,9 @@ object SearchData {
         ((pairs, perm), t) <- sides.zip(out)
         c <- pairs.indices if use(c)
         from <- 0 until fids.length by SlotChunk
-      } yield Future {
-        val ps = pairs(c); val tc = t(c)
+      } yield (pairs(c), perm, t(c), from)
+      Par.map(tasks.length) { i =>
+        val (ps, perm, tc, from) = tasks(i)
         val until = math.min(from + SlotChunk, fids.length)
         (from until until).foreach(s => tc(s) = new Array[Float](ps.length))
         var j = 0
@@ -198,7 +195,6 @@ object SearchData {
           j += 1
         }
       }
-      Await.result(Future.sequence(tasks), Duration.Inf)
       (out(0), out(1))
     }
   }

@@ -236,6 +236,29 @@ class BlockingSpec extends SparkSpec {
     }
   }
 
+  test("the frame read gives each frame's (id, text) rows in plain-collect order, in one job of one task") {
+    val task = Benchmarks.tiny()
+    // L: an extra column first and a null text; R: text before id. Both in 8 partitions.
+    val left = spark.createDataFrame(spark.sparkContext.parallelize(task.left.zipWithIndex.map { case ((id, t), i) =>
+      Row(i * 0.5, id, if (i == 3) null else t)
+    }, 8), StructType(Seq(StructField("extra", DoubleType), StructField("id", LongType, nullable = false),
+      StructField("text", StringType))))
+    val right = spark.createDataFrame(spark.sparkContext.parallelize(task.right.map { case (id, t) => Row(t, id) }, 8),
+      StructType(Seq(StructField("text", StringType), StructField("id", LongType, nullable = false))))
+    def plain(df: DataFrame) = df.collect().toSeq.map(r => (r.getAs[Long]("id"), r.getAs[String]("text")))
+    val ((l, r), jobs, tasks) = jobsAndTasksOf(Blocking.records(left, right))
+    assert(l == plain(left) && r == plain(right))
+    assert(l == task.left.updated(3, (task.left(3)._1, null)) && r == task.right)
+    assert((jobs, tasks) == (1, 1))
+  }
+
+  test("the frame read rejects an id that is not a LongType column") {
+    val ints = spark.createDataFrame(spark.sparkContext.parallelize(Seq(Row(1, "a")), 1),
+      StructType(Seq(StructField("id", IntegerType), StructField("text", StringType))))
+    intercept[IllegalArgumentException](Blocking.records(ints, dfR))
+    intercept[IllegalArgumentException](Blocking.records(dfL, ints))
+  }
+
   test("block leaves no persisted RDD behind") {
     val before = spark.sparkContext.getPersistentRDDs.size
     val (lr, ll) = Blocking.block(spark, dfL, dfR)
