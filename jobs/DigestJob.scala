@@ -2,6 +2,8 @@ package repro.jobs
 
 import java.nio.ByteBuffer
 import java.security.MessageDigest
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types._
 import repro.core._
 import repro.data.{Benchmarks, BenchmarkGen, MultiColGen}
 import repro.harness.{MultiColumnHarness, SingleColumnHarness}
@@ -14,7 +16,9 @@ import repro.harness.{MultiColumnHarness, SingleColumnHarness}
   *  - single-column: the `lrAll`, `lrFiltered` and `llPairs` distance tables,
   *    the learned rules, `search` at τ = 0.9 and τ = 0 over the 140 and the
   *    24 functions, `searchOneConfig` at τ = 0.9, and the rows of the τ = 0.9
-  *    program's `FuzzyJoinProgram.apply`;
+  *    program's `FuzzyJoinProgram.apply` on local frames. `apply` also
+  *    runs on 8-partition frames of the same records, and the job exits
+  *    non-zero, after printing every line, if the two row sets differ;
   *  - multi-column: every column's L–R and L–L table and Algorithm 3's
   *    `run` as the Table 4 harness calls it.
   *
@@ -57,6 +61,7 @@ object DigestJob {
     val keep = args.toSet
     def wanted(name: String) = keep.isEmpty || keep(name)
     val lines = Vector.newBuilder[String]
+    val mismatched = Vector.newBuilder[String]
     def emit(task: String, name: String, hex: String): Unit = {
       val line = s"$task $name $hex"
       println(line)
@@ -84,13 +89,22 @@ object DigestJob {
         }
         val one = AutoFJ.searchOneConfig(SearchData.fromSingle(p.lrFiltered, p.llPairs, full), thetas, tau)
         emit(spec.name, "searchOneConfig", result(one))
-        // `apply` replays the first search's program: f140 at τ = 0.9.
-        val rows = FuzzyJoinProgram(searches.head.program, p.rules)
-          .apply(spark, SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
-          .collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted
-        val applied = new Digest
-        rows.foreach { case (r, l, dist, ci) => applied.long(r); applied.long(l); applied.double(dist); applied.long(ci) }
-        emit(spec.name, "apply", applied.hex)
+        // `apply` replays the first search's program: f140 at τ = 0.9, on
+        // local frames (read with no job) and on 8-partition frames (read by
+        // one job), which must give the same rows.
+        val program = FuzzyJoinProgram(searches.head.program, p.rules)
+        def applied(frame: Seq[(Long, String)] => DataFrame) =
+          program.apply(spark, frame(task.left), frame(task.right)).collect()
+            .map(r => (r.getLong(0), r.getLong(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3)))
+            .sorted.toSeq
+        val rows = applied(SingleColumnPipeline.toDF(spark, _))
+        if (applied(parted(spark, _)) != rows) {
+          System.err.println(s"${spec.name}: apply's rows differ between local and 8-partition frames")
+          mismatched += spec.name
+        }
+        val digest = new Digest
+        rows.foreach { case (r, l, dist, ci) => digest.long(r); digest.long(l); digest.long(dist); digest.long(ci) }
+        emit(spec.name, "apply", digest.hex)
       }
       MultiColGen.specs.filter(s => wanted(s.name)).foreach { spec =>
         val task = MultiColGen.generate(spec)
@@ -108,5 +122,19 @@ object DigestJob {
     val all = new Digest
     lines.result().foreach(all.string)
     println(s"ALL ${all.hex}")
+    val bad = mismatched.result()
+    if (bad.nonEmpty) {
+      System.err.println(s"apply's rows depend on the frames' read path on ${bad.mkString(", ")}")
+      sys.exit(1)
+    }
   }
+
+  private val RecSchema = StructType(Seq(
+    StructField("id", LongType, nullable = false),
+    StructField("text", StringType, nullable = true),
+  ))
+
+  /** (id, text) records as a frame over 8 RDD partitions: read by a Spark job. */
+  private def parted(spark: SparkSession, recs: Seq[(Long, String)]): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8), RecSchema)
 }

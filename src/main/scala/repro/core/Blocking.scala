@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.types._
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -31,16 +32,17 @@ import scala.jdk.CollectionConverters._
   *
   * Record ids must be unique within a table: a repeated id throws
   * `IllegalArgumentException`. The DataFrame entry point
-  * takes frames with columns (id: Long, text: String) and collects them
-  * first.
+  * takes frames with columns (id: Long, text: String) and reads their rows
+  * first: a frame built on the driver with no Spark job, any other in one
+  * job.
   */
 object Blocking {
 
   /** One candidate pair: (leftId, rightId, blockSim). */
   type Candidate = (Long, Long, Double)
 
-  /** Probe records per [[Par]] task. */
-  private[core] val Chunk = 64
+  /** Records per [[Par]] task, when L is tokenized and when records probe. */
+  private[core] val Chunk = 16
 
   /** ⌈√|L|⌉ — the number of left candidates kept per record (§3.2). */
   def topK(nLeft: Long): Int = math.max(1, math.ceil(math.sqrt(nLeft.toDouble)).toInt)
@@ -66,9 +68,10 @@ object Blocking {
   /** Index `left`'s records under ln(|L|/df) + 1 over `left` itself. */
   private def index(left: Seq[(Long, String)]): Index = {
     val sorted = byId(left, "L")
+    val grams = Par.chunks(sorted.length, Chunk)((from, until) => (from until until).map(i => tokenize(sorted(i)._2)))
     val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
-    sorted.iterator.zipWithIndex.foreach { case ((_, text), pos) =>
-      tokenize(text).foreach(t => lists.getOrElseUpdate(t, new mutable.ArrayBuilder.ofInt) += pos)
+    grams.iterator.flatten.zipWithIndex.foreach { case (toks, pos) =>
+      toks.foreach(t => lists.getOrElseUpdate(t, new mutable.ArrayBuilder.ofInt) += pos)
     }
     val n = sorted.length.toDouble
     val postings = lists.iterator.map { case (t, b) =>
@@ -162,25 +165,42 @@ object Blocking {
     probe(index(lRecs), Seq((rRecs, false)), topK(lRecs.length)).head
 
   /** The (id, text) rows of two record frames, with no SQL plan around
-    * them: each frame's rows are read from its physical plan's RDD by field
-    * index, and both are collected in one job of one task over the union of
-    * the two RDDs. `coalesce(1)` reads the union's partitions in order
-    * without a shuffle, so the rows keep the order a plain collect gives.
-    * A frame whose `id` is not a `LongType` or whose `text` is not a
-    * `StringType` column throws `IllegalArgumentException`.
+    * them, each frame's rows in the order a plain collect gives. A frame
+    * whose analyzed plan is a [[LocalRelation]] (one built on the driver,
+    * such as [[SingleColumnPipeline.toDF]]'s) is read from the relation's
+    * rows, with no Spark job. Any other frame is read from its physical
+    * plan's RDD by field index; the frames that need it are collected in one
+    * job of one task over the union of their RDDs, and `coalesce(1)` reads
+    * the union's partitions in order without a shuffle. A frame whose `id`
+    * is not a `LongType` or whose `text` is not a `StringType` column throws
+    * `IllegalArgumentException`.
     */
   private[core] def records(left: DataFrame, right: DataFrame): (Seq[(Long, String)], Seq[(Long, String)]) = {
-    def rows(df: DataFrame, isLeft: Boolean): RDD[(Boolean, Long, String)] = {
+    val frames = Seq(left, right)
+    val fields = frames.map { df =>
       val schema = df.schema
       val id = schema.fieldIndex("id"); val text = schema.fieldIndex("text")
       require(schema(id).dataType == LongType, s"id must be a LongType column, not ${schema(id).dataType}")
       require(schema(text).dataType == StringType, s"text must be a StringType column, not ${schema(text).dataType}")
-      // The RDD may reuse one row object, so each row's values are copied out at once.
-      df.queryExecution.toRdd
-        .map(row => (isLeft, row.getLong(id), if (row.isNullAt(text)) null else row.getString(text)))
+      (id, text)
     }
-    val (l, r) = rows(left, isLeft = true).union(rows(right, isLeft = false)).coalesce(1).collect().partition(_._1)
-    (l.toSeq.map(t => (t._2, t._3)), r.toSeq.map(t => (t._2, t._3)))
+    def read(side: Int, row: InternalRow): (Long, String) = {
+      val (id, text) = fields(side)
+      (row.getLong(id), if (row.isNullAt(text)) null else row.getUTF8String(text).toString)
+    }
+    val local = frames.map(_.queryExecution.analyzed match {
+      case rel: LocalRelation => Some(rel.data)
+      case _ => None
+    })
+    val distributed = frames.indices.filter(local(_).isEmpty)
+    // The RDD may reuse one row object, so each row's values are copied out at once.
+    val collected: Array[(Int, (Long, String))] =
+      if (distributed.isEmpty) Array.empty
+      else distributed.map(s => frames(s).queryExecution.toRdd.map(row => (s, read(s, row))))
+        .reduce(_ union _).coalesce(1).collect()
+    val Seq(l, r) = frames.indices.map(s =>
+      local(s).fold(collected.iterator.collect { case (`s`, rec) => rec }.toSeq)(_.map(read(s, _))))
+    (l, r)
   }
 
   private val CandidateSchema = StructType(Seq(
@@ -193,8 +213,9 @@ object Blocking {
   private def frame(spark: SparkSession, rows: Array[Candidate]): DataFrame =
     spark.createDataFrame(rows.map { case (l, r, s) => Row(l, r, s) }.toSeq.asJava, CandidateSchema)
 
-  /** [[block]] over record frames: both are collected in one job, and the
-    * candidates come back as local frames.
+  /** [[block]] over record frames, read by [[records]]: frames built on the
+    * driver are read with no Spark job, the others in one job between them.
+    * The candidates come back as local frames.
     */
   def block(spark: SparkSession, left: DataFrame, right: DataFrame): (DataFrame, DataFrame) = {
     val (lRecs, rRecs) = records(left, right)

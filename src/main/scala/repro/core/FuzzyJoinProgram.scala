@@ -8,7 +8,9 @@ import scala.jdk.CollectionConverters._
   * configurations plus the learned negative rules, applicable to fresh
   * (L, R) DataFrames.
   *
-  * Application collects L and R in one Spark job, then works on the driver:
+  * Application reads L's and R's rows ([[Blocking.records]]: no Spark job
+  * for frames built on the driver, one job for the others), then works on
+  * the driver:
   * it probes R against L's blocking index ([[Blocking.leftRight]], the L–R
   * half of [[Blocking.block]]), drops rule-violating pairs, computes the
   * surviving pairs' distance vectors ([[DistanceTable]]), and joins each

@@ -33,11 +33,12 @@ object SingleColumnPipeline {
     StructField("text", StringType, nullable = true),
   ))
 
-  /** (id, text) pairs as a DataFrame with the blocking-ready schema. */
+  /** (id, text) pairs as a local DataFrame with the blocking-ready schema:
+    * [[Blocking.block]] and [[FuzzyJoinProgram.apply]] read its rows, and
+    * collecting it runs no Spark job.
+    */
   def toDF(spark: SparkSession, recs: Seq[(Long, String)]): DataFrame =
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8),
-      recSchema)
+    spark.createDataFrame(recs.map { case (id, t) => Row(id, t) }.asJava, recSchema)
 
   /** Block (L, R), learn the negative rules and compute both distance
     * tables, in blocking's pair order. Runs no Spark job; `spark` is not

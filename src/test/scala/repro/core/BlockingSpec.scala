@@ -1,10 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.data.{BenchmarkGen, Benchmarks}
+import repro.data.{BenchmarkGen, Benchmarks, SingleTask}
+import scala.jdk.CollectionConverters._
 
 class BlockingSpec extends SparkSpec {
 
@@ -21,6 +23,13 @@ class BlockingSpec extends SparkSpec {
 
   private def dfL = SingleColumnPipeline.toDF(spark, L)
   private def dfR = SingleColumnPipeline.toDF(spark, R)
+
+  private val recSchema = StructType(Seq(StructField("id", LongType, nullable = false),
+    StructField("text", StringType)))
+
+  /** (id, text) records as a frame over `parts` RDD partitions: read by a Spark job. */
+  private def distributed(recs: Seq[(Long, String)], parts: Int): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, parts), recSchema)
 
   test("topK is ceil(sqrt(|L|))") {
     assert(Blocking.topK(100) == 10)
@@ -152,16 +161,16 @@ class BlockingSpec extends SparkSpec {
 
   test("block's output does not depend on input partitioning or order") {
     val task = Benchmarks.tiny()
-    def run(lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)], parts: Int) = {
-      val (lr, ll) = Blocking.block(spark,
-        SingleColumnPipeline.toDF(spark, lRecs).coalesce(parts),
-        SingleColumnPipeline.toDF(spark, rRecs).coalesce(parts))
+    def run(frame: Seq[(Long, String)] => DataFrame, lRecs: Seq[(Long, String)], rRecs: Seq[(Long, String)]) = {
+      val (lr, ll) = Blocking.block(spark, frame(lRecs), frame(rRecs))
       (rows(lr), rows(ll))
     }
-    val eight = run(task.left, task.right, 8)
-    val one = run(task.left.reverse, task.right.reverse, 1)
+    val eight = run(distributed(_, 8), task.left, task.right)
+    val one = run(distributed(_, 1), task.left.reverse, task.right.reverse)
+    val local = run(SingleColumnPipeline.toDF(spark, _), task.left.reverse, task.right)
     assert(eight._1.nonEmpty && eight._2.nonEmpty)
     assert(one == eight)
+    assert(local == eight)
   }
 
   test("block's L-R and L-L candidates match a SQL top-k (DuckDB oracle)") {
@@ -238,18 +247,50 @@ class BlockingSpec extends SparkSpec {
 
   test("the frame read gives each frame's (id, text) rows in plain-collect order, in one job of one task") {
     val task = Benchmarks.tiny()
-    // L: an extra column first and a null text; R: text before id. Both in 8 partitions.
-    val left = spark.createDataFrame(spark.sparkContext.parallelize(task.left.zipWithIndex.map { case ((id, t), i) =>
-      Row(i * 0.5, id, if (i == 3) null else t)
-    }, 8), StructType(Seq(StructField("extra", DoubleType), StructField("id", LongType, nullable = false),
-      StructField("text", StringType))))
-    val right = spark.createDataFrame(spark.sparkContext.parallelize(task.right.map { case (id, t) => Row(t, id) }, 8),
-      StructType(Seq(StructField("text", StringType), StructField("id", LongType, nullable = false))))
-    def plain(df: DataFrame) = df.collect().toSeq.map(r => (r.getAs[Long]("id"), r.getAs[String]("text")))
+    // Both frames in 8 partitions.
+    val (left, right) = readFrames(task, local = false)
     val ((l, r), jobs, tasks) = jobsAndTasksOf(Blocking.records(left, right))
     assert(l == plain(left) && r == plain(right))
     assert(l == task.left.updated(3, (task.left(3)._1, null)) && r == task.right)
     assert((jobs, tasks) == (1, 1))
+  }
+
+  /** The frames of the frame-read tests over tiny: L with an extra column
+    * first and a null text at position 3, R with text before id.
+    */
+  private def readFrames(task: SingleTask, local: Boolean): (DataFrame, DataFrame) = {
+    def frame(rows: Seq[Row], schema: StructType) =
+      if (local) spark.createDataFrame(rows.asJava, schema)
+      else spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
+    (frame(task.left.zipWithIndex.map { case ((id, t), i) => Row(i * 0.5, id, if (i == 3) null else t) },
+       StructType(Seq(StructField("extra", DoubleType), StructField("id", LongType, nullable = false),
+         StructField("text", StringType)))),
+     frame(task.right.map { case (id, t) => Row(t, id) },
+       StructType(Seq(StructField("text", StringType), StructField("id", LongType, nullable = false)))))
+  }
+
+  private def plain(df: DataFrame) = df.collect().toSeq.map(r => (r.getAs[Long]("id"), r.getAs[String]("text")))
+
+  test("the frame read gives a local frame's (id, text) rows in plain-collect order, with no job") {
+    val task = Benchmarks.tiny()
+    val (left, right) = readFrames(task, local = true)
+    assert(Seq(left, right).forall(_.queryExecution.analyzed.isInstanceOf[LocalRelation]))
+    val ((l, r), jobs) = jobsOf(Blocking.records(left, right))
+    assert(jobs == 0)
+    assert(l == plain(left) && r == plain(right))
+    assert(l == task.left.updated(3, (task.left(3)._1, null)) && r == task.right)
+  }
+
+  test("the frame read gives a local and a distributed frame's rows in one job of one task") {
+    val task = Benchmarks.tiny()
+    val (localL, localR) = readFrames(task, local = true)
+    val (distL, distR) = readFrames(task, local = false)
+    for ((left, right) <- Seq((localL, distR), (distL, localR))) {
+      val ((l, r), jobs, tasks) = jobsAndTasksOf(Blocking.records(left, right))
+      assert((jobs, tasks) == (1, 1))
+      assert(l == plain(left) && r == plain(right))
+      assert(l == task.left.updated(3, (task.left(3)._1, null)) && r == task.right)
+    }
   }
 
   test("the frame read rejects an id that is not a LongType column") {
@@ -257,6 +298,21 @@ class BlockingSpec extends SparkSpec {
       StructType(Seq(StructField("id", IntegerType), StructField("text", StringType))))
     intercept[IllegalArgumentException](Blocking.records(ints, dfR))
     intercept[IllegalArgumentException](Blocking.records(dfL, ints))
+  }
+
+  test("the frame read rejects a local frame whose id is not LongType or whose text is not StringType") {
+    val ints = spark.createDataFrame(Seq(Row(1, "a")).asJava,
+      StructType(Seq(StructField("id", IntegerType), StructField("text", StringType))))
+    val numbers = spark.createDataFrame(Seq(Row(1L, 2.0)).asJava,
+      StructType(Seq(StructField("id", LongType), StructField("text", DoubleType))))
+    for (bad <- Seq(ints, numbers)) {
+      assert(bad.queryExecution.analyzed.isInstanceOf[LocalRelation])
+      val (_, jobs) = jobsOf {
+        intercept[IllegalArgumentException](Blocking.records(bad, dfR))
+        intercept[IllegalArgumentException](Blocking.records(dfL, bad))
+      }
+      assert(jobs == 0)
+    }
   }
 
   test("block leaves no persisted RDD behind") {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
@@ -88,24 +88,19 @@ class FuzzyJoinProgramSpec extends SparkSpec {
     assert(!out.exists { case (r, l) => r == -2L || l == -1L }, "an empty text is at JD 1 from everything")
   }
 
-  test("apply runs 1 Spark job and returns the rows of the block-then-assign steps on tiny") {
+  /** Tiny's learned program, and the rows apply computed before it probed R
+    * alone: full blocking, records and rules by string, then the first
+    * config in program order wins.
+    */
+  private lazy val tinyCase = {
     val task = Benchmarks.tiny()
     val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
     val res = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
     assert(res.program.nonEmpty)
     val prog = FuzzyJoinProgram(res.program, prepared.rules)
-    val left = SingleColumnPipeline.toDF(spark, task.left)
-    val right = SingleColumnPipeline.toDF(spark, task.right)
-    val (rows, jobs, tasks) = jobsAndTasksOf(prog(spark, left, right).collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted.toSeq)
-    assert(jobs == 1, "one collect of L and R; probe, distances and the result frame are local")
-    assert(tasks == 1, "L and R are read by one task, with no shuffle")
-
-    // What apply computed before it probed R alone: full blocking, records
-    // and rules by string, then the first config in program order wins.
-    val (lrCand, _) = Blocking.block(spark, left, right)
+    val (lrCand, _) = Blocking.block(task.left, task.right)
     val lText = task.left.toMap; val rText = task.right.toMap
-    val keep = lrCand.collect().map(r => (r.getLong(0), r.getLong(1)))
+    val keep = lrCand.map(c => (c._1, c._2))
       .filterNot { case (l, r) => NegativeRules.violates(prog.rules, lText(l), rText(r)) }
     val lp = lText.map { case (id, t) => id -> Prepped(t) }
     val rp = rText.map { case (id, t) => id -> Prepped(t) }
@@ -122,6 +117,30 @@ class FuzzyJoinProgramSpec extends SparkSpec {
       }.take(1)
     }.toSeq.sorted
     assert(want.nonEmpty)
+    (task, prog, want)
+  }
+
+  /** `prog`'s rows on (left, right), sorted, with the Spark jobs and tasks it ran. */
+  private def appliedRows(prog: FuzzyJoinProgram, left: DataFrame, right: DataFrame) =
+    jobsAndTasksOf(prog(spark, left, right).collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).sorted.toSeq)
+
+  test("apply runs 1 Spark job and returns the rows of the block-then-assign steps on tiny") {
+    val (task, prog, want) = tinyCase
+    def frame(recs: Seq[(Long, String)]) = spark.createDataFrame(
+      spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8),
+      StructType(Seq(StructField("id", LongType, nullable = false), StructField("text", StringType))))
+    val (rows, jobs, tasks) = appliedRows(prog, frame(task.left), frame(task.right))
+    assert(jobs == 1, "one collect of L and R; probe, distances and the result frame are local")
+    assert(tasks == 1, "L and R are read by one task, with no shuffle")
+    assert(rows == want)
+  }
+
+  test("apply on local frames runs no Spark job and returns the rows of the block-then-assign steps on tiny") {
+    val (task, prog, want) = tinyCase
+    val (rows, jobs, _) = appliedRows(prog,
+      SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+    assert(jobs == 0, "L and R are read from their local plans; probe, distances and the result frame are local")
     assert(rows == want)
   }
 }

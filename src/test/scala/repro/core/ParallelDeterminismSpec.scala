@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 import repro.SparkSpec
@@ -47,6 +49,25 @@ class ParallelDeterminismSpec extends SparkSpec {
       assert(tableBits(main._1.llPairs) == tableBits(pooled._1.llPairs), s"${task.name}: llPairs")
       assert(main._2.program.nonEmpty, task.name)
       assert(resultBits(main._2) == resultBits(pooled._2), s"${task.name}: result")
+    }
+  }
+
+  test("apply's rows are the same on a local frame, an 8-partition frame and reversed records") {
+    val schema = StructType(Seq(StructField("id", LongType, nullable = false), StructField("text", StringType)))
+    def parted(recs: Seq[(Long, String)]) =
+      spark.createDataFrame(spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8), schema)
+    for (task <- singleTasks) {
+      val p = SingleColumnPipeline.prepare(spark, task.left, task.right)
+      val prog = FuzzyJoinProgram(SingleColumnPipeline.autoFJ(p, tau = 0.9).program, p.rules)
+      def rows(left: DataFrame, right: DataFrame) = prog(spark, left, right).collect().toSeq
+        .map(r => (r.getLong(0), r.getLong(1), bits(r.getDouble(2)), r.getInt(3))).sorted
+      val local = rows(SingleColumnPipeline.toDF(spark, task.left), SingleColumnPipeline.toDF(spark, task.right))
+      assert(local.nonEmpty, task.name)
+      assert(rows(parted(task.left), parted(task.right)) == local, s"${task.name}: 8 partitions")
+      assert(rows(SingleColumnPipeline.toDF(spark, task.left.reverse),
+        SingleColumnPipeline.toDF(spark, task.right.reverse)) == local, s"${task.name}: reversed, local")
+      assert(rows(parted(task.left.reverse), parted(task.right.reverse)) == local,
+        s"${task.name}: reversed, 8 partitions")
     }
   }
 
