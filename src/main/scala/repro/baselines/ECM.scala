@@ -25,23 +25,13 @@ object ECM {
   def fit(g: Array[Array[Int]], iters: Int = 100): Model = {
     val n = g.length; val d = g(0).length
     var p = 0.1
-    var m = Array.fill(d)(0.9)
-    var u = Array.fill(d)(0.1)
+    val m = Array.fill(d)(0.9)
+    val u = Array.fill(d)(0.1)
     var it = 0
     while (it < iters) {
-      // E-step.
-      val w = g.map { row =>
-        var lm = math.log(p); var lu = math.log(1 - p)
-        var k = 0
-        while (k < d) {
-          lm += (if (row(k) == 1) math.log(clamp(m(k))) else math.log(clamp(1 - m(k))))
-          lu += (if (row(k) == 1) math.log(clamp(u(k))) else math.log(clamp(1 - u(k))))
-          k += 1
-        }
-        val mx = math.max(lm, lu)
-        val em = math.exp(lm - mx); val eu = math.exp(lu - mx)
-        em / (em + eu)
-      }
+      // E-step: it reads m and u before the CM-steps below write them.
+      val model = Model(p, m, u)
+      val w = g.map(posterior(_, model))
       // CM-steps.
       val sw = w.sum
       p = clamp(sw / n)

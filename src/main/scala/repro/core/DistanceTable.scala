@@ -39,6 +39,18 @@ object Prepped {
     Prepped(strs, toks, emb)
   }
 
+  /** The one rule for shared variants: per variant p, the first variant
+    * q ≤ p that every one of `records` holds by reference for p: the same
+    * `String`, the same two token arrays and the same embedding. [[apply]]
+    * creates that sharing; [[FeatureContext.build]] and the column coding
+    * of [[DistanceTable]] read it from here.
+    */
+  private[core] def variantSources(records: Iterable[Prepped]): Array[Int] = {
+    def shared(r: Prepped, q: Int, p: Int) = (r.strs(q) eq r.strs(p)) && (r.emb(q) eq r.emb(p)) &&
+      (0 until ConfigSpace.NumTok).forall(t => r.toks(q * ConfigSpace.NumTok + t) eq r.toks(p * ConfigSpace.NumTok + t))
+    Array.tabulate(ConfigSpace.NumPreproc)(p => (0 to p).find(q => records.forall(shared(_, q, p))).get)
+  }
+
   /** Distinct values per task in [[interned]]. */
   private val Chunk = 16
 
@@ -64,17 +76,14 @@ object Prepped {
 final class FeatureContext(val idfs: Array[TokenWeights])
 
 object FeatureContext {
-  /** A (P, T) combo whose token arrays are, record by record, the same
-    * arrays as an earlier combo's with the same T shares that one's table.
-    * The other combos' tables are built concurrently ([[Par]]).
+  /** (p, t) shares the table of (q, t), where q is p's source under
+    * [[Prepped.variantSources]] over `corpus`. The tables of the source
+    * variants are built concurrently ([[Par]]).
     */
   def build(corpus: Iterable[Prepped]): FeatureContext = {
+    val sources = Prepped.variantSources(corpus)
     val n = ConfigSpace.NumPreproc * ConfigSpace.NumTok
-    // The first such combo, or pt itself: sameness is transitive, so it shares no earlier table.
-    val source = Array.tabulate(n) { pt =>
-      (pt % ConfigSpace.NumTok until pt by ConfigSpace.NumTok)
-        .find(q => corpus.forall(r => r.toks(q) eq r.toks(pt))).getOrElse(pt)
-    }
+    def source(pt: Int) = sources(pt / ConfigSpace.NumTok) * ConfigSpace.NumTok + pt % ConfigSpace.NumTok
     val own = (0 until n).filter(pt => source(pt) == pt)
     val built = Par.map(own.length)(i => TokenWeights.idf(corpus.view.map(_.toks(own(i)))))
     new FeatureContext(Array.tabulate(n)(pt => built(own.indexOf(source(pt)))))
@@ -106,9 +115,11 @@ final case class PairDist(leftId: Long, rightId: Long, d: Array[Float])
   * alike. A vector needs one merge over ints per (P, T), which yields the
   * equal-weight and the IDF set statistics together
   * ([[Distances.setStatsIds]]), with the same sums, in the same order, as
-  * merging the token strings. A preprocessing variant that coincides with
-  * an earlier one on every value of the column, with bit-equal IDF arrays,
-  * shares that one's coding and gets a copy of its 35 distances.
+  * merging the token strings. A preprocessing variant that every value of
+  * the column shares by reference with an earlier one
+  * ([[Prepped.variantSources]]), and whose IDF tables the context shares
+  * with that one's, reuses that one's coding and gets a copy of its 35
+  * distances.
   *
   * Order contract: row `i` of every returned table is the `i`-th input
   * pair (for a frame, the `i`-th row of `pairs.collect()`), so the tables of
@@ -132,18 +143,19 @@ object DistanceTable {
     * and `idf(pt)(id)` is the token's weight under `ctx`. Tokens `ctx` has
     * not seen get its unseen-token weight.
     *
-    * Variant p is the same as an earlier variant q when every record's
-    * string, token sets and embedding under p equal those under q; then p
-    * reuses q's dictionaries and coded ids. If p's IDF arrays are also
-    * bit-equal to q's for both tokenizers, `alias(p)` is q: every one of
-    * p's 35 distances equals q's on every pair of these records, so
-    * [[vector]] copies them. Otherwise `alias(p)` is p.
+    * `alias(p)` is p's source q under [[Prepped.variantSources]] over
+    * `records` when `ctx` holds, for both tokenizers, the same table for q
+    * as for p; otherwise it is p. An aliased p reuses q's dictionaries,
+    * coded ids and IDF arrays by reference, and every one of its 35
+    * distances equals q's on every pair of these records, so [[vector]]
+    * copies them.
     */
   private final class Coding(records: Iterable[Prepped], ctx: FeatureContext) {
-    private val same = Array.tabulate(ConfigSpace.NumPreproc) { p =>
-      (0 to p).find(q => records.forall(sameVariant(_, q, p))).get
+    val alias: Array[Int] = Prepped.variantSources(records).zipWithIndex.map { case (q, p) =>
+      if ((0 until ConfigSpace.NumTok).forall(t => ctx.idfs(q * ConfigSpace.NumTok + t) eq ctx.idfs(p * ConfigSpace.NumTok + t))) q
+      else p
     }
-    private def source(pt: Int): Int = same(pt / ConfigSpace.NumTok) * ConfigSpace.NumTok + pt % ConfigSpace.NumTok
+    private def source(pt: Int): Int = alias(pt / ConfigSpace.NumTok) * ConfigSpace.NumTok + pt % ConfigSpace.NumTok
     /** Per (P, T) that is its own source, token → id; the others read their source's. */
     private val ids: Array[java.util.HashMap[String, Integer]] = new Array(NumPT)
     val idf: Array[Array[Double]] = new Array(NumPT)
@@ -157,14 +169,8 @@ object DistanceTable {
       val id = new java.util.HashMap[String, Integer](dict.length * 2)
       dict.indices.foreach(i => id.put(dict(i), i))
       ids(src) = id
-      (src until NumPT).filter(source(_) == src).foreach(pt => idf(pt) = dict.map(ctx.idfs(pt)(_)))
-    }
-    val alias: Array[Int] = Array.tabulate(ConfigSpace.NumPreproc) { p =>
-      (0 to p).find { q =>
-        same(q) == same(p) && (0 until ConfigSpace.NumTok).forall { t =>
-          java.util.Arrays.equals(idf(q * ConfigSpace.NumTok + t), idf(p * ConfigSpace.NumTok + t))
-        }
-      }.get
+      val weights = dict.map(ctx.idfs(src)(_))
+      (src until NumPT).filter(source(_) == src).foreach(pt => idf(pt) = weights)
     }
 
     def apply(rec: Prepped): Coded = {
@@ -178,13 +184,6 @@ object DistanceTable {
       new Coded(rec, toks)
     }
   }
-
-  private def sameVariant(rec: Prepped, q: Int, p: Int): Boolean =
-    rec.strs(q) == rec.strs(p) && java.util.Arrays.equals(rec.emb(q), rec.emb(p)) &&
-      (0 until ConfigSpace.NumTok).forall { t =>
-        java.util.Arrays.equals(rec.toks(q * ConfigSpace.NumTok + t).asInstanceOf[Array[AnyRef]],
-                                rec.toks(p * ConfigSpace.NumTok + t).asInstanceOf[Array[AnyRef]])
-      }
 
   /** All 140 distances between a left and a right record (order: function
     * id). Asymmetric functions (Contain-*) treat `l` as the reference side.

@@ -22,7 +22,7 @@ object MultiReports {
   /** Table 4(a): overall multi-column quality comparison. */
   def table4a(evals: Seq[MultiEval]): String = {
     val sb = new StringBuilder
-    sb.append("Table 4(a) — multi-column join quality (tau=0.9, g=10)\n")
+    sb.append(s"Table 4(a) — multi-column join quality (tau=${SingleColumnHarness.Tau}, g=${MultiColumnHarness.G})\n")
     sb.append(f"${"Dataset"}%-8s ${"Columns Selected"}%-34s ${"Weights"}%-14s P     R    | ")
     BaselineNames.foreach(m => sb.append(f"$m%-8s "))
     sb.append("\n")

@@ -120,10 +120,12 @@ object SingleColumnHarness {
     val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
     val gt = task.gt
     val gtTotal = task.gtTotal
-    val fullFids = ConfigSpace.full.map(_.id).toArray
+    // One layout per function space, shared by the runs over it.
+    val fullData = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.full.map(_.id).toArray)
+    val data24 = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.reduced24.toArray)
 
     // ---- AutoFJ main run (τ = 0.9) + PEPCC/RERCC over iterations -------
-    val main = SingleColumnPipeline.autoFJ(prepared, Tau, gt = gt, gtTotal = gtTotal)
+    val main = AutoFJ.search(fullData, ConfigSpace.thresholds(), Tau, gt, gtTotal)
     val (autoP, autoR) = Metrics.precisionRecall(main.assignment, gt, gtTotal)
     // Correlation over iterations is NA (the paper's footnote) when the
     // greedy terminates too quickly or the actual series is flat — a
@@ -140,7 +142,6 @@ object SingleColumnHarness {
     val rercc = corrOrNa(main.trace.map(_.estTP), main.trace.map(_.actRecall))
 
     // ---- Unbounded run: per-pair confidence scores → AutoFJ PR curve ---
-    val fullData = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullFids)
     val autoPrAuc = autoFJPrAuc(fullData, gt, gtTotal)
 
     // ---- Ablations ------------------------------------------------------
@@ -153,11 +154,9 @@ object SingleColumnHarness {
     val nrR = Metrics.precisionRecall(nrRes.assignment, gt, gtTotal)._2
 
     // ---- Reduced 24-configuration space (Table 6 / Table 5 last col) ---
-    val r24 = SingleColumnPipeline.autoFJ(prepared, Tau, fids = ConfigSpace.reduced24.toArray,
-      gt = gt, gtTotal = gtTotal)
+    val r24 = AutoFJ.search(data24, ConfigSpace.thresholds(), Tau, gt, gtTotal)
     val (p24, rec24) = Metrics.precisionRecall(r24.assignment, gt, gtTotal)
-    val auto24PrAuc = autoFJPrAuc(
-      SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.reduced24.toArray), gt, gtTotal)
+    val auto24PrAuc = autoFJPrAuc(data24, gt, gtTotal)
 
     // ---- UBR ------------------------------------------------------------
     val ubr = StaticBaselines.upperBoundRecall(prepared.lrAll, gt, gtTotal)

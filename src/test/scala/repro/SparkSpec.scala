@@ -10,9 +10,11 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). No core path runs a Spark join: the session builds and reads
+  * the frames of the frame-level entry points (blocking, the distance
+  * tables' pair frames, `FuzzyJoinProgram.apply`), runs the supervised
+  * baselines on Spark MLlib, and counts the Spark jobs a path starts
+  * ([[jobsOf]]). Broadcast joins stay disabled.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -385,6 +385,60 @@ class DistanceTableSpec extends SparkSpec {
     assert(shared > 0)
   }
 
+  /** Per variant p, the first q ≤ p whose string equals p's on every one of
+    * `recs`: the string-equality rule that [[Prepped.variantSources]] must
+    * agree with on [[Prepped.apply]] records.
+    */
+  private def stringSources(recs: Seq[Prepped]): Seq[Int] =
+    (0 until ConfigSpace.NumPreproc).map(p => (0 to p).find(q => recs.forall(r => r.strs(q) == r.strs(p))).get)
+
+  /** One column's values on tiny's two sides and on each of BB's 16 columns. */
+  private lazy val realColumns: Seq[(String, Seq[String])] = {
+    val tinyTask = Benchmarks.tiny()
+    val bb = repro.data.MultiColGen.generate(repro.data.MultiColGen.specs.find(_.name == "BB").get)
+    assert(bb.nCols == 16)
+    Seq("tiny" -> (tinyTask.left ++ tinyTask.right).map(_._2)) ++
+      bb.columns.indices.map(c => s"BB ${bb.columns(c)}" -> (bb.left ++ bb.right).map(_._2(c)))
+  }
+
+  test("variantSources is string equality of variants on Prepped records; FeatureContext shares tables by it") {
+    var aliased = 0
+    for ((name, values) <- realColumns) {
+      val recs = Prepped.interned(values).toSeq
+      val sources = Prepped.variantSources(recs).toSeq
+      assert(sources == stringSources(recs), name)
+      recs.distinct.foreach(r => assert(Prepped.variantSources(Seq(r)).toSeq == stringSources(Seq(r)), s"$name: ${r.strs(0)}"))
+      val ctx = FeatureContext.build(recs)
+      for (p <- 0 until ConfigSpace.NumPreproc; q <- 0 until ConfigSpace.NumPreproc; t <- 0 until ConfigSpace.NumTok)
+        assert((ctx.idfs(p * ConfigSpace.NumTok + t) eq ctx.idfs(q * ConfigSpace.NumTok + t)) == (sources(p) == sources(q)),
+          s"$name: tables ($p, $t) and ($q, $t)")
+      aliased += sources.indices.count(p => sources(p) < p)
+    }
+    assert(aliased > 0, "some column shares a variant")
+  }
+
+  test("variant aliasing: equal but separate L and L+RP arrays are not aliased, rows bit-equal to the oracle") {
+    // Without punctuation, Prepped shares L+RP (p = 2) with L (p = 0).
+    def copied(raw: String): Prepped = {
+      val rec = Prepped(raw)
+      val strs = rec.strs.clone; val toks = rec.toks.clone; val emb = rec.emb.clone
+      strs(2) = new String(strs(0))
+      (0 until ConfigSpace.NumTok).foreach(t => toks(2 * ConfigSpace.NumTok + t) = toks(t).clone)
+      emb(2) = emb(0).clone
+      Prepped(strs, toks, emb)
+    }
+    val corpus = plainL ++ plainR
+    val recs = corpus.map(copied)
+    assert(Prepped.variantSources(corpus.map(Prepped(_)))(2) == 0)
+    assert(Prepped.variantSources(recs).toSeq == Seq(0, 1, 2, 1))
+    val ctx = FeatureContext.build(recs)
+    (0 until ConfigSpace.NumTok).foreach(t => assert(!(ctx.idfs(t) eq ctx.idfs(2 * ConfigSpace.NumTok + t))))
+    def bits(v: Array[Float]) = v.toSeq.map(java.lang.Float.floatToRawIntBits)
+    for (l <- plainL.indices; r <- plainR.indices)
+      assert(bits(DistanceTable.vector(recs(l), recs(plainL.length + r), ctx)) ==
+        bits(oracleVector(plainL(l), plainR(r), corpus)), s"(${plainL(l)}, ${plainR(r)})")
+  }
+
   /** Records with the given token sets per (P, T); every string is "x", so
     * only the set slots differ between records.
     */
