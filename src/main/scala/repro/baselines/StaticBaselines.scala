@@ -1,57 +1,45 @@
 package repro.baselines
 
-import repro.core.{ConfigSpace, PairDist}
+import repro.core.SearchData
 import repro.eval.Metrics.Scored
 
 /** Distance-table-backed baselines: the Best Static Join function (BSJ)
-  * and the recall Upper Bound (UBR) of §5.1.3. Both reuse the 140-function
-  * distance vectors AutoFJ computes over the blocked candidate pairs.
+  * and the recall Upper Bound (UBR) of §5.1.3. Both read each right
+  * record's closest left candidate per function slot from the layout
+  * AutoFJ searches ([[SearchData.nearest]], ties to the smaller left id).
   */
 object StaticBaselines {
 
-  /** Scored predictions of a single static join function: each right
-    * record's closest left candidate under `fid` (score = -distance).
+  /** Scored predictions of a single static join function, slot `s` of
+    * `data`: each right record's closest left candidate (score = -distance),
+    * ascending by right id.
     */
-  def scoredForFunction(lrPairs: Array[PairDist], fid: Int): Vector[Scored] = {
-    val best = scala.collection.mutable.HashMap.empty[Long, (Long, Float)]
-    lrPairs.foreach { p =>
-      val d = p.d(fid)
-      best.get(p.rightId) match {
-        case Some((l, bd)) if bd < d || (bd == d && l <= p.leftId) => ()
-        case _ => best(p.rightId) = (p.leftId, d)
-      }
-    }
-    best.iterator.map { case (r, (l, d)) => Scored(r, l, -d.toDouble) }.toVector.sortBy(_.rId)
+  def scoredForFunction(data: SearchData, s: Int): Vector[Scored] = {
+    val bestL = new Array[Int](data.nRight)
+    val bestD = new Array[Float](data.nRight)
+    data.nearest(s, bestL, bestD)
+    (0 until data.nRight).filter(bestL(_) >= 0)
+      .map(r => Scored(data.rIds(r), data.lIds(bestL(r)), -bestD(r).toDouble)).sortBy(_.rId).toVector
   }
 
-  /** UBR: a ground-truth pair (l, r) is *feasible* if some configuration
-    * makes l the closest left record to r; UBR is the fraction of
+  /** UBR: a ground-truth pair (l, r) is *feasible* if some slot of `data`
+    * puts l at r's least distance (a tie counts); UBR is the fraction of
     * feasible ground-truth pairs (the best any fuzzy-join program over
     * the space could do).
     */
-  def upperBoundRecall(lrPairs: Array[PairDist], gt: Map[Long, Long], gtTotal: Int): Double = {
+  def upperBoundRecall(data: SearchData, gt: Map[Long, Long], gtTotal: Int): Double = {
     if (gtTotal == 0) return 0.0
-    val byR = lrPairs.groupBy(_.rightId)
-    var feasible = 0
-    gt.foreach { case (rId, lId) =>
-      byR.get(rId).foreach { pairs =>
-        val gtPair = pairs.find(_.leftId == lId)
-        gtPair.foreach { gp =>
-          var f = 0
-          var ok = false
-          while (f < ConfigSpace.Size && !ok) {
-            var minD = Float.MaxValue
-            var i = 0
-            while (i < pairs.length) {
-              if (pairs(i).d(f) < minD) minD = pairs(i).d(f)
-              i += 1
-            }
-            if (gp.d(f) <= minD) ok = true
-            f += 1
-          }
-          if (ok) feasible += 1
-        }
+    // (r, position of its ground-truth pair in r's row) for each candidate gt pair.
+    val gtPairs = (0 until data.nRight).flatMap { r =>
+      gt.get(data.rIds(r)).flatMap { l =>
+        (data.lrOff(r) until data.lrOff(r + 1)).find(j => data.lIds(data.lrLeft(j)) == l).map(r -> _)
       }
+    }
+    val bestD = Array.fill(data.nF)(new Array[Float](data.nRight))
+    bestD.indices.foreach(s => data.nearest(s, new Array[Int](data.nRight), bestD(s)))
+    val d = new Array[Double](1)
+    val feasible = gtPairs.count { case (r, j) =>
+      bestD.indices.exists { s => data.lrDist(s, j, j + 1, d); d(0).toFloat <= bestD(s)(r) }
     }
     feasible.toDouble / gtTotal
   }

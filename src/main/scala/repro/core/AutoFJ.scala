@@ -8,7 +8,8 @@ import repro.core.ConfigSpace.JoinConfig
   * The search runs on the driver over the candidate-pair distance tables
   * ([[SearchData]]). Upstream, blocking ([[Blocking]]) and the per-pair
   * distances ([[DistanceTable]]) run on driver threads too;
-  * [[FuzzyJoinProgram.apply]] reuses both to apply the learned program.
+  * [[FuzzyJoinProgram.apply]] reuses both, and the nearest-l rule
+  * ([[SearchData.nearest]]), to apply the learned program.
   */
 object AutoFJ {
 
@@ -51,13 +52,13 @@ object AutoFJ {
     * and the candidate configurations with the estimated precision of each
     * of their joins.
     *
-    * Per function slot: the nearest l of each r is a pass over r's row of
-    * the L–R layout, blended into a buffer ([[SearchData.lrDist]]); then
-    * only the balls around the nearest l of some r that the largest θ joins
-    * are blended ([[SearchData.llDist]]) and counted ([[BallCounts]]), since
-    * no other ball is read. No slot reads another's results, so the slots
-    * run in chunks through [[Par]], each chunk with its own ball counts and
-    * row buffer, and the candidates are concatenated in slot order.
+    * Per function slot: the nearest l of each r comes from
+    * [[SearchData.nearest]] (ties to the smaller left id); then only the
+    * balls around the nearest l of some r that the largest θ joins are
+    * blended ([[SearchData.llDist]]) and counted ([[BallCounts]]), since no
+    * other ball is read. No slot reads another's results, so the slots run
+    * in chunks through [[Par]], each chunk with its own ball counts, and the
+    * candidates are concatenated in slot order.
     */
   private final class Prep(val data: SearchData, thetas: Array[Double]) {
     val nF: Int = data.nF
@@ -66,9 +67,6 @@ object AutoFJ {
 
     val bestL: Array[Array[Int]] = Array.fill(nF)(new Array[Int](nR))
     val bestD: Array[Array[Float]] = Array.fill(nF)(new Array[Float](nR))
-
-    /** The longest r's row: the length of [[nearest]]'s buffer. */
-    private val maxRow = (0 until nR).foldLeft(0)((m, r) => math.max(m, data.lrOff(r + 1) - data.lrOff(r)))
 
     /** Per f, the r's with a candidate, ascending by bestD (as
       * `Float.compare`), ties by ascending r — the set joined by ⟨f, θ⟩ is a
@@ -84,10 +82,9 @@ object AutoFJ {
     val candidates: Array[Cand] = Par.chunks(nF, SlotChunk) { (from, until) =>
       val out = scala.collection.mutable.ArrayBuffer.empty[Cand]
       val balls = new BallCounts(data, thetas)
-      val row = new Array[Double](maxRow)
       var f = from
       while (f < until) {
-        nearest(f, row)
+        data.nearest(f, bestL(f), bestD(f))
         val order = joinOrder(f)
         rOrder(f) = order
         val bl = bestL(f); val bd = bestD(f)
@@ -116,30 +113,6 @@ object AutoFJ {
       }
       out
     }.flatten.toArray
-
-    /** Fills `bestL(f)`/`bestD(f)`: per r, the l of least distance under f,
-      * ties to the smaller dense index; -1 for an r without a candidate.
-      * `row` holds one r's blended row.
-      */
-    private def nearest(f: Int, row: Array[Double]): Unit = {
-      val off = data.lrOff; val left = data.lrLeft
-      val bl = bestL(f); val bd = bestD(f)
-      var r = 0
-      while (r < nR) {
-        val from = off(r); val until = off(r + 1)
-        data.lrDist(f, from, until, row)
-        var l = -1
-        var d = Float.MaxValue
-        var j = from
-        while (j < until) {
-          val dj = row(j - from).toFloat; val lj = left(j)
-          if (dj < d || (dj == d && (l < 0 || lj < l))) { d = dj; l = lj }
-          j += 1
-        }
-        bl(r) = l; bd(r) = d
-        r += 1
-      }
-    }
 
     /** `rOrder(f)`, sorted as primitive longs: bestD's sortable bits above r. */
     private def joinOrder(f: Int): Array[Int] = {

@@ -14,8 +14,12 @@ import scala.jdk.CollectionConverters._
   * it probes R against L's blocking index ([[Blocking.leftRight]], the L–R
   * half of [[Blocking.block]]), drops rule-violating pairs, computes the
   * surviving pairs' distance vectors ([[DistanceTable]]), and joins each
-  * right record through the first configuration (in greedy selection order)
-  * that accepts it — matching the search's assign-once semantics.
+  * right record to its closest l ([[SearchData.nearest]], ties to the
+  * smaller leftId) under the first configuration, in greedy selection
+  * order, whose θ that l is within. This is not the search's rule: the
+  * search keeps each right record's most confident join (§3.1), so the two
+  * can disagree on a right record that several configurations join
+  * (ROADMAP item 3).
   */
 final case class FuzzyJoinProgram(
     configs: Vector[ConfigSpace.JoinConfig],
@@ -37,19 +41,17 @@ final case class FuzzyJoinProgram(
     val dists = DistanceTable.columns(1, lRecs.map(r => r._1 -> Seq(r._2)), rRecs.map(r => r._1 -> Seq(r._2)),
       keep, Array.empty).lr(0)
 
-    // First config (greedy order) that joins each r wins; within a config
-    // each r joins its closest l (Eq. 1).
-    val byR = dists.groupBy(_.rightId)
-    val out = byR.iterator.flatMap { case (rid, pairs) =>
-      configs.zipWithIndex.iterator.flatMap { case (c, ci) =>
-        val inRange = pairs.filter(_.d(c.fId) <= c.theta)
-        if (inRange.isEmpty) None
-        else {
-          val best = inRange.minBy(p => (p.d(c.fId), p.leftId))
-          Some(Row(rid, best.leftId, best.d(c.fId).toDouble, ci))
-        }
-      }.take(1)
-    }.toSeq
+    val fids = configs.map(_.fId).distinct.toArray
+    val data = SearchData.fromSingle(dists, Array.empty, fids)
+    val slots = configs.map(c => fids.indexOf(c.fId))
+    val bestL = Array.fill(fids.length)(new Array[Int](data.nRight))
+    val bestD = Array.fill(fids.length)(new Array[Float](data.nRight))
+    fids.indices.foreach(s => data.nearest(s, bestL(s), bestD(s)))
+    val out = (0 until data.nRight).flatMap { r =>
+      configs.indices.find(ci => bestD(slots(ci))(r).toDouble <= configs(ci).theta).map { ci =>
+        Row(data.rIds(r), data.lIds(bestL(slots(ci))(r)), bestD(slots(ci))(r).toDouble, ci)
+      }
+    }
 
     spark.createDataFrame(out.asJava, FuzzyJoinProgram.OutSchema)
   }

@@ -39,6 +39,33 @@ final class SearchData private (tables: SearchData.Tables, cols: Array[Int], wei
     */
   def llDist(s: Int, from: Int, until: Int, acc: Array[Double]): Unit = blend(tables.ll, s, from, until, acc)
 
+  /** Eq. 1 under slot `s`: `bestL(r)` becomes the l of least distance in
+    * r's row ([[lrDist]], compared as its `toFloat`), ties to the smaller
+    * `lIds` value, and `bestD(r)` that distance. An r whose row holds no
+    * distance of at most `Float.MaxValue` gets -1 and `Float.MaxValue`.
+    * The search, [[FuzzyJoinProgram.apply]] and the static baselines all
+    * read each r's closest l from here.
+    */
+  def nearest(s: Int, bestL: Array[Int], bestD: Array[Float]): Unit = {
+    val off = lrOff; val left = lrLeft; val ids = lIds
+    val row = new Array[Double](tables.maxRow)
+    var r = 0
+    while (r < nRight) {
+      val from = off(r); val until = off(r + 1)
+      lrDist(s, from, until, row)
+      var l = -1
+      var d = Float.MaxValue
+      var j = from
+      while (j < until) {
+        val dj = row(j - from).toFloat; val lj = left(j)
+        if (dj < d || (dj == d && (l < 0 || ids(lj) < ids(l)))) { d = dj; l = lj }
+        j += 1
+      }
+      bestL(r) = l; bestD(r) = d
+      r += 1
+    }
+  }
+
   /** Def. 4.1 on one side's tables: `acc(i)` becomes pair `from + i`'s
     * `Double` sum of w_c · d_c over the non-zero columns in ascending order,
     * starting from 0.0. Its `toFloat` is the pair's distance.
@@ -108,6 +135,10 @@ object SearchData {
       private[SearchData] val ll: Array[Array[Array[Float]]],
       val fids: Array[Int],
   ) {
+
+    /** The longest r's row: the length of [[SearchData.nearest]]'s buffer. */
+    private[SearchData] val maxRow: Int =
+      (0 until rIds.length).foldLeft(0)((m, r) => math.max(m, lrOff(r + 1) - lrOff(r)))
 
     /** The search input under `weights`: a view of these tables that
       * blends a range of pairs when the search reads it

@@ -78,22 +78,19 @@ object SingleColumnPipeline {
   def toPairDF(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame =
     spark.createDataFrame(pairs.map { case (a, b) => Row(a, b) }.asJava, pairSchema)
 
-  /** Run AutoFJ (Algorithm 1) over a prepared task.
+  /** Run AutoFJ (Algorithm 1) over a prepared task's rule-filtered pairs.
     *
-    * @param fids          function ids searched (full 140 or reduced 24)
-    * @param negativeRules false reproduces the AutoFJ-NR ablation
-    * @param gt / gtTotal  evaluation-only: enables the actual-P/R trace
+    * @param fids         function ids searched (full 140 or reduced 24)
+    * @param gt / gtTotal evaluation-only: enables the actual-P/R trace
     */
   def autoFJ(
       prepared: Prepared,
       tau: Double,
       fids: Array[Int] = ConfigSpace.full.map(_.id).toArray,
-      negativeRules: Boolean = true,
       gt: Map[Long, Long] = Map.empty,
       gtTotal: Int = 0,
   ): AutoFJ.Result = {
-    val lr = if (negativeRules) prepared.lrFiltered else prepared.lrAll
-    val data = SearchData.fromSingle(lr, prepared.llPairs, fids)
+    val data = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fids)
     AutoFJ.search(data, ConfigSpace.thresholds(), tau, gt, gtTotal)
   }
 }

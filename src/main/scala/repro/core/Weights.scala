@@ -7,15 +7,8 @@ package repro.core
   *   a corpus (here: the tokenized `L ∪ R` for the (P, T) combo in play).
   *   Unseen tokens get the weight of a df=1 token.
   */
-final class TokenWeights private (idf: Map[String, Double], unseen: Double) extends Serializable {
+final class TokenWeights private (idf: Map[String, Double], unseen: Double) {
   def apply(tok: String): Double = idf.getOrElse(tok, unseen)
-
-  /** Sum of weights of a (distinct) token array. */
-  def sum(toks: Array[String]): Double = {
-    var s = 0.0; var i = 0
-    while (i < toks.length) { s += apply(toks(i)); i += 1 }
-    s
-  }
 }
 
 object TokenWeights {

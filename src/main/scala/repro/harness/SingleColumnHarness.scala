@@ -120,9 +120,13 @@ object SingleColumnHarness {
     val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
     val gt = task.gt
     val gtTotal = task.gtTotal
-    // One layout per function space, shared by the runs over it.
-    val fullData = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.full.map(_.id).toArray)
+    // One layout per function space and pair set, shared by the runs over
+    // it: the rule-filtered pairs under 140 and 24 functions, and every
+    // blocked pair under 140 (the NR ablation, UBR and BSJ).
+    val fullIds = ConfigSpace.full.map(_.id).toArray
+    val fullData = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullIds)
     val data24 = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, ConfigSpace.reduced24.toArray)
+    val allData = SearchData.fromSingle(prepared.lrAll, prepared.llPairs, fullIds)
 
     // ---- AutoFJ main run (τ = 0.9) + PEPCC/RERCC over iterations -------
     val main = AutoFJ.search(fullData, ConfigSpace.thresholds(), Tau, gt, gtTotal)
@@ -150,7 +154,7 @@ object SingleColumnHarness {
     val ucR = Metrics.precisionRecall(
       AutoFJ.searchOneConfig(fullData, ConfigSpace.thresholds(), Tau).assignment, gt, gtTotal)._2
     // AutoFJ-NR: full greedy without negative rules.
-    val nrRes = SingleColumnPipeline.autoFJ(prepared, Tau, negativeRules = false, gt = gt, gtTotal = gtTotal)
+    val nrRes = AutoFJ.search(allData, ConfigSpace.thresholds(), Tau, gt, gtTotal)
     val nrR = Metrics.precisionRecall(nrRes.assignment, gt, gtTotal)._2
 
     // ---- Reduced 24-configuration space (Table 6 / Table 5 last col) ---
@@ -159,14 +163,14 @@ object SingleColumnHarness {
     val auto24PrAuc = autoFJPrAuc(data24, gt, gtTotal)
 
     // ---- UBR ------------------------------------------------------------
-    val ubr = StaticBaselines.upperBoundRecall(prepared.lrAll, gt, gtTotal)
+    val ubr = StaticBaselines.upperBoundRecall(allData, gt, gtTotal)
 
-    // ---- BSJ: AR / PR-AUC of every static function ----------------------
+    // ---- BSJ: AR / PR-AUC of every static function (slot f is function f)
     val bsjAr = new Array[Double](ConfigSpace.Size)
     val bsjAuc = new Array[Double](ConfigSpace.Size)
     var f = 0
     while (f < ConfigSpace.Size) {
-      val sc = StaticBaselines.scoredForFunction(prepared.lrAll, f)
+      val sc = StaticBaselines.scoredForFunction(allData, f)
       bsjAr(f) = Metrics.adjustedRecall(sc, gt, gtTotal, autoP)
       bsjAuc(f) = Metrics.prAuc(sc, gt, gtTotal)
       f += 1

@@ -185,20 +185,19 @@ class AutoFJSearchSpec extends AnyFunSuite {
   }
 
   /** rId → (lId, score) by brute force over the input pairs: each program
-    * config ⟨f, θ⟩ joins every r whose nearest l (ties: first seen among the
-    * L–R left sides, then the L–L sides) is within θ, at precision
-    * 1 / (1 + #{l' : d_ll(l, l') ≤ (2θ).toFloat}); configs apply in program
-    * order and a later one replaces a join only when it is more confident.
+    * config ⟨f, θ⟩ joins every r whose nearest l (ties: the smaller leftId)
+    * is within θ, at precision 1 / (1 + #{l' : d_ll(l, l') ≤ (2θ).toFloat});
+    * configs apply in program order and a later one replaces a join only
+    * when it is more confident.
     */
   private def bruteForce(lr: Array[PairDist], ll: Array[PairDist], program: Vector[ConfigSpace.JoinConfig])
       : Map[Long, (Long, Double)] = {
-    val seen = (lr.map(_.leftId) ++ ll.flatMap(p => Seq(p.leftId, p.rightId))).distinct
     val out = scala.collection.mutable.Map.empty[Long, (Long, Double)]
     program.foreach { cfg =>
       lr.groupBy(_.rightId).foreach { case (rid, pairs) =>
         val dMin = pairs.map(_.d(cfg.fId)).min
         if (dMin <= cfg.theta.toFloat) {
-          val l = pairs.filter(_.d(cfg.fId) == dMin).map(_.leftId).minBy(seen.indexOf(_))
+          val l = pairs.filter(_.d(cfg.fId) == dMin).map(_.leftId).min
           val ball = ll.count(p => p.leftId == l && p.d(cfg.fId) <= (2.0 * cfg.theta).toFloat)
           val p = 1.0 / (1 + ball)
           if (out.get(rid).forall(p > _._2)) out(rid) = (l, p)

@@ -5,11 +5,12 @@ import org.apache.spark.sql.types._
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 import repro.SparkSpec
-import repro.data.{BenchmarkGen, Benchmarks, MultiColGen}
+import repro.data.{BenchmarkGen, Benchmarks, MultiColGen, MultiTask}
 
 /** Learning gives the same bits whether it is called on the main thread,
   * where [[Par]] spreads its loops over the pool, or from inside a pool
-  * task, where every loop runs inline.
+  * task, where every loop runs inline, and whatever the order of the
+  * records of L and R.
   */
 class ParallelDeterminismSpec extends SparkSpec {
 
@@ -71,15 +72,57 @@ class ParallelDeterminismSpec extends SparkSpec {
     }
   }
 
-  test("MultiColumnAutoFJ.run's result is bit-identical on the main thread and in a pool task") {
+  /** A small FZ task and BB at 20% of its rows. */
+  private lazy val multiTasks = {
     val bb = MultiColGen.specs.find(_.name == "BB").get
     def sc(x: Int) = math.max(1, math.round(x * 0.2).toInt)
-    val tasks = Seq(
+    Seq(
       MultiColGen.generate(MultiColGen.specs.head.copy(name = "FZ-small", nL = 150, nExtra = 40, nMatches = 40,
         nNonMatches = 60)),
       MultiColGen.generate(bb.copy(nL = sc(bb.nL), nExtra = sc(bb.nExtra), nMatches = sc(bb.nMatches),
         nNonMatches = sc(bb.nNonMatches))))
-    for (task <- tasks) {
+  }
+
+  /** `recs` reversed, and shuffled with a fixed seed. */
+  private def reordered[A](recs: Seq[A]): Seq[(String, Seq[A])] =
+    Seq("reversed" -> recs.reverse, "shuffled" -> new scala.util.Random(18).shuffle(recs))
+
+  test("prepare's tables and autoFJ's result are bit-identical on reversed and shuffled L and R") {
+    for (task <- singleTasks) {
+      def learn(left: Seq[(Long, String)], right: Seq[(Long, String)]) = {
+        val p = SingleColumnPipeline.prepare(spark, left, right)
+        (p, SingleColumnPipeline.autoFJ(p, tau = 0.9, gt = task.gt, gtTotal = task.gtTotal))
+      }
+      val (p0, res0) = learn(task.left, task.right)
+      assert(res0.program.nonEmpty, task.name)
+      for (((how, left), (_, right)) <- reordered(task.left).zip(reordered(task.right))) {
+        val (p, res) = learn(left, right)
+        assert(tableBits(p.lrAll) == tableBits(p0.lrAll), s"${task.name}, $how: lrAll")
+        assert(tableBits(p.lrFiltered) == tableBits(p0.lrFiltered), s"${task.name}, $how: lrFiltered")
+        assert(tableBits(p.llPairs) == tableBits(p0.llPairs), s"${task.name}, $how: llPairs")
+        assert(p.rules == p0.rules, s"${task.name}, $how: rules")
+        assert(resultBits(res) == resultBits(res0), s"${task.name}, $how: result")
+      }
+    }
+  }
+
+  test("MultiColumnAutoFJ.run's result is bit-identical on reversed and shuffled L and R") {
+    for (task <- multiTasks) {
+      def run(t: MultiTask) = MultiColumnAutoFJ.run(MultiColumnAutoFJ.prepare(spark, t), tau = 0.9,
+        gt = t.gt, gtTotal = t.gtTotal, selectionFids = Some(ConfigSpace.reduced24.toArray))
+      val base = run(task)
+      assert(base.selected.nonEmpty, task.name)
+      for (((how, left), (_, right)) <- reordered(task.left).zip(reordered(task.right))) {
+        val other = run(task.copy(left = left.toVector, right = right.toVector))
+        assert(resultBits(other.result) == resultBits(base.result), s"${task.name}, $how: result")
+        assert(other.weights.toSeq.map(bits) == base.weights.toSeq.map(bits), s"${task.name}, $how: weights")
+        assert(other.selected == base.selected, s"${task.name}, $how: selected")
+      }
+    }
+  }
+
+  test("MultiColumnAutoFJ.run's result is bit-identical on the main thread and in a pool task") {
+    for (task <- multiTasks) {
       val prepared = MultiColumnAutoFJ.prepare(spark, task)
       val (main, pooled) = bothWays(MultiColumnAutoFJ.run(prepared, tau = 0.9, gt = task.gt, gtTotal = task.gtTotal,
         selectionFids = Some(ConfigSpace.reduced24.toArray)))

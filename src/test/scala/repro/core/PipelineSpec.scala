@@ -80,7 +80,10 @@ class PipelineSpec extends SparkSpec {
 
   test("negative rules improve precision on rule-violating data") {
     val withRules = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
-    val without = SingleColumnPipeline.autoFJ(prepared, tau = 0.9, negativeRules = false)
+    // AutoFJ-NR, as the harness runs it: the search over every blocked pair.
+    val without = AutoFJ.search(
+      SearchData.fromSingle(prepared.lrAll, prepared.llPairs, ConfigSpace.full.map(_.id).toArray),
+      ConfigSpace.thresholds(), tau = 0.9)
     val (pWith, _) = Metrics.precisionRecall(withRules.assignment, task.gt, task.gtTotal)
     val (pWithout, _) = Metrics.precisionRecall(without.assignment, task.gt, task.gtTotal)
     assert(pWith >= pWithout - 0.05,

@@ -206,4 +206,39 @@ class SearchDataSpec extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, Pretty.pretty(res))
   }
+
+  /** 1–3 aligned columns of distinct L–R pairs over up to 5 left and 4 right
+    * ids in random order, so first-seen order and id order disagree, with 2
+    * functions whose distances sit on a coarse grid, so that nearest-l ties
+    * are frequent, and a weight vector with zeros.
+    */
+  private val tiedColumns = for {
+    m <- Gen.choose(1, 3)
+    keys <- Gen.nonEmptyListOf(Gen.zip(Gen.choose(0L, 4L), Gen.choose(100L, 103L))).map(_.distinct)
+    dist = Gen.listOfN(2, Gen.oneOf(0f, 0.1f, 0.2f, 0.5f, 1f)).map(_.toArray)
+    lr <- Gen.listOfN(m, Gen.sequence[List[PairDist], PairDist](keys.map { case (l, r) => dist.map(PairDist(l, r, _)) }))
+    w <- Gen.listOfN(m, Gen.oneOf(0.0, 0.5, 1.0, 1.0 / 3))
+  } yield (lr.map(_.toArray).toArray, (if (w.forall(_ == 0.0)) 1.0 :: w.tail else w).toArray)
+
+  test("nearest is the brute-force least distance, ties to the smaller left id (ScalaCheck)") {
+    val prop = Prop.forAll(tiedColumns) { case (lr, w) =>
+      val d = SearchData.fromColumns(lr, Array.fill(lr.length)(Array.empty[PairDist]), Array(0, 1), w)
+      val bestL = new Array[Int](d.nRight)
+      val bestD = new Array[Float](d.nRight)
+      (0 until d.nF).forall { s =>
+        d.nearest(s, bestL, bestD)
+        d.rIds.indices.forall { r =>
+          // Def. 4.1's blend of each of r's input pairs, then (min d, min leftId).
+          val (wantD, wantL) = lr(0).indices.filter(lr(0)(_).rightId == d.rIds(r)).map { i =>
+            var acc = 0.0
+            w.indices.foreach(c => if (w(c) != 0.0) acc += w(c) * lr(c)(i).d(s))
+            (acc.toFloat, lr(0)(i).leftId)
+          }.min(Ordering.Tuple2(Ordering.Float.TotalOrdering, Ordering.Long))
+          bits(bestD(r)) == bits(wantD) && d.lIds(bestL(r)) == wantL
+        }
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
 }
